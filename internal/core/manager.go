@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -25,7 +26,9 @@ import (
 type Scheduler interface {
 	// Name identifies the policy in experiment reports.
 	Name() string
-	// SelectPilot picks a pilot for the unit from candidates (never empty).
+	// SelectPilot picks a pilot for the unit from candidates (never
+	// empty). The slice is valid only during the call: the manager reuses
+	// its backing array, so implementations must not retain it.
 	SelectPilot(cu *ComputeUnit, candidates []*Pilot, data DataService) *Pilot
 }
 
@@ -100,6 +103,7 @@ type Manager struct {
 	activeUnits int
 	idle        *vclock.Event
 	nextWake    time.Time // earliest scheduled dispatch self-wake
+	exec        plannerExec
 	closed      bool
 
 	kick      *vclock.Notifier
@@ -142,6 +146,8 @@ func NewManager(cfg Config) *Manager {
 		reconKick: vclock.NewNotifier(cfg.Clock),
 		wg:        vclock.NewGroup(cfg.Clock),
 	}
+	m.exec.m = m
+	var pilots []*Pilot // the policy adapter's reused candidate buffer
 	m.planner = plan.New(plan.Config{
 		Stream:  cfg.Stream,
 		Backoff: cfg.Backoff,
@@ -152,7 +158,7 @@ func NewManager(cfg Config) *Manager {
 			if cu == nil {
 				return ""
 			}
-			pilots := make([]*Pilot, 0, len(cands))
+			pilots = pilots[:0]
 			for _, c := range cands {
 				if p := m.pilotByID[c.ID]; p != nil {
 					pilots = append(pilots, p)
@@ -467,7 +473,8 @@ func (m *Manager) dispatchLoop() {
 func (m *Manager) dispatchOnce() {
 	now := m.cfg.Clock.Now()
 	m.mu.Lock()
-	next := m.planner.Plan(now, &plannerExec{m: m, now: now})
+	m.exec.now = now
+	next := m.planner.Plan(now, &m.exec)
 	if !next.IsZero() {
 		m.wakeAtLocked(next)
 	}
@@ -477,23 +484,49 @@ func (m *Manager) dispatchOnce() {
 // plannerExec executes planner decisions against the live world. Its
 // methods are called synchronously from plan.Plan while m.mu is held, so
 // each bind is visible to the next unit's candidate query within the
-// same tick.
+// same tick. The manager keeps one plannerExec and reuses it every tick.
 type plannerExec struct {
-	m   *Manager
-	now time.Time
+	m     *Manager
+	now   time.Time
+	cands []plan.Candidate // Candidates' reused result buffer
 }
 
-// Candidates implements plan.Executor.
+// reachableFree returns p's free cores and whether Candidates may offer
+// p at all: it must be running, and a pilot whose backend is inside an
+// injected outage window is unreachable. MaxFree and Candidates share it,
+// so the capacity gate can never disagree with the candidate query.
+func (p *Pilot) reachableFree() (free int, ok bool) {
+	p.mu.Lock()
+	free, running := p.freeCores, p.state == PilotRunning
+	p.mu.Unlock()
+	return free, running && !p.faults.Down()
+}
+
+// MaxFree implements plan.Executor: the largest free capacity among the
+// pilots Candidates can return.
+func (e *plannerExec) MaxFree() int {
+	best := math.MinInt
+	for _, p := range e.m.pilots {
+		if free, ok := p.reachableFree(); ok && free > best {
+			best = free
+		}
+	}
+	return best
+}
+
+// Candidates implements plan.Executor: the reachable pilots with room for
+// u right now.
 func (e *plannerExec) Candidates(u plan.UnitSpec) []plan.Candidate {
-	cu := e.m.unitByID[u.ID]
-	if cu == nil {
+	if e.m.unitByID[u.ID] == nil {
 		return nil
 	}
-	pilots := e.m.candidatesLocked(cu)
-	out := make([]plan.Candidate, 0, len(pilots))
-	for _, p := range pilots {
-		out = append(out, plan.Candidate{ID: p.id, Backend: p.desc.Resource, FreeCores: p.FreeCores()})
+	out := e.cands[:0]
+	for _, p := range e.m.pilots {
+		if free, ok := p.reachableFree(); ok && free >= u.Cores {
+			out = append(out, plan.Candidate{ID: p.id, Backend: p.desc.Resource, FreeCores: free})
+		}
 	}
+	e.cands = out
 	return out
 }
 
@@ -515,7 +548,9 @@ func (e *plannerExec) Bind(u plan.UnitSpec, pilotID string) {
 	cu.pilot = p
 	cu.scheduled = e.now
 	cu.mu.Unlock()
-	vclock.Mark(m.cfg.Clock, "bind "+u.ID+" -> "+pilotID, u.Ordinal)
+	if vclock.Recording(m.cfg.Clock) {
+		vclock.Mark(m.cfg.Clock, "bind "+u.ID+" -> "+pilotID, u.Ordinal)
+	}
 	m.notify(cu, UnitScheduled)
 	p.pushWork(cu)
 }
@@ -548,22 +583,6 @@ func (m *Manager) wakeAtLocked(t time.Time) {
 		m.mu.Unlock()
 		m.wake()
 	})
-}
-
-// candidatesLocked returns running pilots able to host cu right now. A
-// pilot whose backend is inside an injected outage window is unreachable
-// and therefore not a candidate.
-func (m *Manager) candidatesLocked(cu *ComputeUnit) []*Pilot {
-	var out []*Pilot
-	for _, p := range m.pilots {
-		p.mu.Lock()
-		ok := p.state == PilotRunning && p.freeCores >= cu.desc.Cores
-		p.mu.Unlock()
-		if ok && !p.faults.Down() {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // pilotStarted registers the agent's allocation (called from agentRun).

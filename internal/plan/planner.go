@@ -51,7 +51,8 @@ type Candidate struct {
 }
 
 // PolicyFunc picks a pilot for a unit from a non-empty candidate list,
-// returning its ID, or "" to defer the unit to a later tick.
+// returning its ID, or "" to defer the unit to a later tick. The list is
+// the Executor's Candidates result, valid only during the call.
 type PolicyFunc func(u UnitSpec, candidates []Candidate) string
 
 // Executor is the planner's hand back into the world. Plan calls it
@@ -60,8 +61,17 @@ type PolicyFunc func(u UnitSpec, candidates []Candidate) string
 // capacity consumed by earlier decisions of the same tick, exactly as
 // the pre-planner dispatch loop did.
 type Executor interface {
+	// MaxFree bounds Candidates: for any unit u with u.Cores > MaxFree(),
+	// Candidates(u) must return nothing. The tightest bound is the largest
+	// FreeCores among the pilots Candidates could return right now
+	// (math.MinInt when there are none). Plan skips Candidates for units
+	// above the bound, so over-reporting only costs wasted queries, but
+	// under-reporting would wrongly defer units that fit.
+	MaxFree() int
 	// Candidates returns the pilots able to host u at this instant, in
-	// stable (pilot submission) order, with current free capacity.
+	// stable (pilot submission) order, with current free capacity. The
+	// slice is valid only until the next Executor call: the executor may
+	// reuse its backing array.
 	Candidates(u UnitSpec) []Candidate
 	// Bind reserves u onto the chosen pilot and hands it to the agent.
 	Bind(u UnitSpec, pilotID string)
@@ -132,13 +142,14 @@ type Config struct {
 
 // unitRec is the planner's per-unit bookkeeping.
 type unitRec struct {
-	spec    UnitSpec
-	retry   *dist.Stream // "retry"/<ordinal>: jitter draws, one per retry
-	queued  bool         // present in the pending queue
-	bound   bool         // dispatched and not yet returned
-	backend string       // watermark key while bound
-	charges int          // failures charged against MaxRetries
-	retryAt time.Time    // eligibility gate while queued after a failure
+	spec      UnitSpec
+	retry     *dist.Stream // "retry"/<ordinal>: jitter draws, one per retry
+	queued    bool         // present in the pending queue
+	forgotten bool         // dropped from the planner; its queue entry is dead
+	bound     bool         // dispatched and not yet returned
+	backend   string       // watermark key while bound
+	charges   int          // failures charged against MaxRetries
+	retryAt   time.Time    // eligibility gate while queued after a failure
 }
 
 // Planner is the TickPlanner. It is not self-synchronizing: the owning
@@ -150,7 +161,7 @@ type Planner struct {
 	backoff    Backoff
 	retryRoot  *dist.Stream
 	units      map[string]*unitRec
-	queue      []string // pending unit IDs in arrival (re-)order
+	queue      []*unitRec // pending units in arrival (re-)order
 	watermarks map[string]*Watermark
 	backends   []string // watermark keys in first-dispatch order
 }
@@ -177,12 +188,13 @@ func (p *Planner) Admit(spec UnitSpec) {
 	if _, ok := p.units[spec.ID]; ok {
 		return
 	}
-	p.units[spec.ID] = &unitRec{
+	r := &unitRec{
 		spec:   spec,
 		retry:  p.retryRoot.SplitLabel(spec.Ordinal),
 		queued: true,
 	}
-	p.queue = append(p.queue, spec.ID)
+	p.units[spec.ID] = r
+	p.queue = append(p.queue, r)
 }
 
 // Forget removes a unit from the planner (terminal or canceled). Its
@@ -195,38 +207,52 @@ func (p *Planner) Forget(id string) {
 	if r.bound {
 		p.watermarks[r.backend].InFlight--
 	}
-	delete(p.units, id)
+	p.drop(r)
+}
+
+// drop removes r from the unit index; its queue entry, if any, is skipped
+// from now on.
+func (p *Planner) drop(r *unitRec) {
+	r.forgotten = true
+	delete(p.units, r.spec.ID)
 }
 
 // Plan runs one planning tick at the given virtual instant: pending
 // units, in queue order, are gated on their retry eligibility, guarded
 // against double dispatch, offered to the policy, and bound through the
 // executor. Units that fit nowhere stay queued, so smaller later units
-// may bind first (backfill inside the pilot pool). The returned instant
+// may bind first (backfill inside the pilot pool). Units needing more
+// cores than the executor's MaxFree are deferred without a Candidates
+// query — the query could only come back empty — so a tick against a
+// full pool costs a pointer walk over the queue. The returned instant
 // is the earliest pending retry eligibility, or zero if nothing is
 // waiting on time — the manager schedules its next self-wake from it.
 func (p *Planner) Plan(now time.Time, ex Executor) (nextWake time.Time) {
+	free := ex.MaxFree()
 	keep := p.queue[:0]
-	for _, id := range p.queue {
-		r, ok := p.units[id]
-		if !ok || !r.queued || r.bound {
+	for _, r := range p.queue {
+		if r.forgotten || !r.queued || r.bound {
 			continue // forgotten, or guard: already dispatched
 		}
 		if !r.retryAt.IsZero() && r.retryAt.After(now) {
-			keep = append(keep, id)
+			keep = append(keep, r)
 			if nextWake.IsZero() || r.retryAt.Before(nextWake) {
 				nextWake = r.retryAt
 			}
 			continue
 		}
+		if r.spec.Cores > free {
+			keep = append(keep, r)
+			continue
+		}
 		cands := ex.Candidates(r.spec)
 		if len(cands) == 0 {
-			keep = append(keep, id)
+			keep = append(keep, r)
 			continue
 		}
 		pilot := p.policy(r.spec, cands)
 		if pilot == "" {
-			keep = append(keep, id)
+			keep = append(keep, r)
 			continue
 		}
 		backend := ""
@@ -242,7 +268,9 @@ func (p *Planner) Plan(now time.Time, ex Executor) (nextWake time.Time) {
 		r.retryAt = time.Time{}
 		p.noteDispatch(backend, now)
 		ex.Bind(r.spec, pilot)
+		free = ex.MaxFree()
 	}
+	clear(p.queue[len(keep):]) // let dropped records be collected
 	p.queue = keep
 	return nextWake
 }
@@ -264,14 +292,14 @@ func (p *Planner) NoteFailure(id string, class FailureClass, now time.Time) Verd
 	}
 	r.charges++
 	if r.charges > r.spec.MaxRetries {
-		delete(p.units, id)
+		p.drop(r)
 		return Verdict{Retry: false, Charges: r.charges}
 	}
 	d := p.backoff.Delay(r.charges-1, r.retry)
 	r.retryAt = now.Add(d)
 	if !r.queued {
 		r.queued = true
-		p.queue = append(p.queue, id)
+		p.queue = append(p.queue, r)
 	}
 	return Verdict{Retry: true, Charges: r.charges, Delay: d, RetryAt: r.retryAt}
 }
@@ -288,8 +316,8 @@ func (p *Planner) Charges(id string) int {
 // units parked in backoff).
 func (p *Planner) PendingLen() int {
 	n := 0
-	for _, id := range p.queue {
-		if r, ok := p.units[id]; ok && r.queued && !r.bound {
+	for _, r := range p.queue {
+		if !r.forgotten && r.queued && !r.bound {
 			n++
 		}
 	}
@@ -300,14 +328,13 @@ func (p *Planner) PendingLen() int {
 // the manager's shutdown path, which finalizes them as canceled.
 func (p *Planner) DrainPending() []string {
 	var out []string
-	for _, id := range p.queue {
-		r, ok := p.units[id]
-		if !ok || !r.queued || r.bound {
+	for _, r := range p.queue {
+		if r.forgotten || !r.queued || r.bound {
 			continue
 		}
 		r.queued = false
-		delete(p.units, id)
-		out = append(out, id)
+		p.drop(r)
+		out = append(out, r.spec.ID)
 	}
 	p.queue = nil
 	return out

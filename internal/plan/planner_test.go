@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -15,6 +16,14 @@ var t0 = time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)
 type fakeExec struct {
 	pilots []Candidate // mutated in place: FreeCores tracks binds
 	binds  [][2]string // (unit, pilot) in bind order
+}
+
+func (e *fakeExec) MaxFree() int {
+	best := math.MinInt
+	for _, p := range e.pilots {
+		best = max(best, p.FreeCores)
+	}
+	return best
 }
 
 func (e *fakeExec) Candidates(u UnitSpec) []Candidate {

@@ -178,6 +178,21 @@ func (c *Virtual) RecorderState() RecorderState {
 	return out
 }
 
+// Recording reports whether the schedule recorder is on, so callers can
+// skip building a Mark note that would be dropped.
+func (c *Virtual) Recording() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rec != nil
+}
+
+// Recording forwards to Virtual.Recording when c is a Virtual clock and
+// reports false otherwise (Mark is a no-op there).
+func Recording(c Clock) bool {
+	v, ok := c.(*Virtual)
+	return ok && v.Recording()
+}
+
 // Mark records an application-level annotation as a scheduling decision.
 // No-op when recording is off. The seq argument is free-form (chaos uses
 // it for fault/bind ordinals).

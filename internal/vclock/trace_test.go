@@ -124,7 +124,7 @@ func TestRecorderMark(t *testing.T) {
 }
 
 // Recording is off by default and StopRecorder discards state; RecorderState
-// is zero-valued in both cases.
+// is zero-valued and Recording reports false in both cases.
 func TestRecorderOffByDefault(t *testing.T) {
 	c := NewVirtual(Epoch)
 	c.Adopt()
@@ -132,10 +132,19 @@ func TestRecorderOffByDefault(t *testing.T) {
 	if s := c.RecorderState(); !reflect.DeepEqual(s, RecorderState{}) {
 		t.Fatalf("recorder on by default: %+v", s)
 	}
+	if Recording(c) {
+		t.Fatal("Recording() true before StartRecorder")
+	}
 	c.StartRecorder(RecorderConfig{})
+	if !Recording(c) {
+		t.Fatal("Recording() false after StartRecorder")
+	}
 	c.Mark("x", 1)
 	c.StopRecorder()
 	if s := c.RecorderState(); !reflect.DeepEqual(s, RecorderState{}) {
 		t.Fatalf("StopRecorder left state behind: %+v", s)
+	}
+	if Recording(c) || Recording(NewManual(Epoch)) {
+		t.Fatal("Recording() true after StopRecorder or on a non-virtual clock")
 	}
 }
