@@ -68,11 +68,14 @@ chaos:
 # epoch-chain divergence math, cluster handoff/link-fence/retention
 # behavior, replication catch-up and divergence repair (plus the
 # 10-seed replication-fault property test), offset-persistence
-# restarts, the retention property test, the rehomed E13 exhibit, and
-# the stale-handoff chaos acceptance test.
+# restarts, the retention property test, the rehomed E13 exhibit, the
+# stale-handoff chaos acceptance test, and the single-shard data-plane
+# tests (round-trip, ordering, round-robin and deterministic key-less
+# placement, long-poll wake, segment boundaries, view stability,
+# latency charged once, backpressure, partial-batch results).
 test-federation:
 	$(GO) test -race -count=1 \
-		-run 'TestShardReplicas|TestRecruitShard|TestDetectShardDrift|TestDivergence|TestClassifyReplica|TestCluster|TestFetchTrimmed|TestRetentionBound|TestReplication|TestStaleHandoffBug|TestOffsetStore|TestGroupRestart|TestRestartRedelivers|TestMillionMessages|TestChaosCatchesStaleHandoffBug' \
+		-run 'TestShardReplicas|TestRecruitShard|TestDetectShardDrift|TestDivergence|TestClassifyReplica|TestCluster|TestFetch|TestRetentionBound|TestReplication|TestStaleHandoffBug|TestOffsetStore|TestGroupRestart|TestRestartRedelivers|TestMillionMessages|TestChaosCatchesStaleHandoffBug|TestPublish|TestPerPartitionOrdering|TestKeyless|TestCanceledBackpressure' \
 		./internal/plan/ ./internal/streaming/ ./internal/experiments/
 
 ci: build vet seed-audit doc-audit test race bench-compare

@@ -25,7 +25,8 @@ func main() {
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 
-	broker := streaming.NewBroker(streaming.BrokerConfig{
+	broker := streaming.NewCluster(streaming.ClusterConfig{
+		Shards: 1, Replication: 1,
 		AppendCost: 2 * time.Millisecond, FetchLatency: time.Millisecond, Clock: tb.Clock,
 	})
 	defer broker.Close()

@@ -40,12 +40,13 @@ type Targets struct {
 	LivePilots func() []*core.Pilot
 	// Storm triggers an evict storm and reports how many glideins it hit.
 	Storm func() int
-	// Broker and Topic locate partitions for stall/skew faults.
-	Broker *streaming.Broker
-	Topic  string
+	// Topic names the Cluster topic whose partitions stall and replica
+	// faults hit.
+	Topic string
 	// Group is the consumer group churned by WorkerChurn.
 	Group *streaming.Group
-	// Cluster is the federated broker ShardLoss/ShardLink act on.
+	// Cluster is the broker every streaming fault acts on: partition
+	// stalls, commit skew, shard loss, link and replica faults.
 	Cluster *streaming.Cluster
 }
 
@@ -197,31 +198,17 @@ func (e *Engine) timeline() ([]event, map[int]func(now time.Duration)) {
 				e.record(f, now, n > 0, "evicted %d glideins", n)
 			})
 		case PartitionStall:
-			// Prefer the federated cluster (stall at the coordination layer)
-			// and fall back to a standalone broker.
-			if e.t.Cluster == nil && (e.t.Broker == nil || e.t.Topic == "") {
+			if e.t.Cluster == nil {
 				add(f.At, inj, func(now time.Duration) { e.record(f, now, false, "no broker") })
 				continue
 			}
-			var nparts int
-			var err error
-			if e.t.Cluster != nil {
-				nparts, err = e.t.Cluster.Partitions(e.t.Topic)
-			} else {
-				nparts, err = e.t.Broker.Partitions(e.t.Topic)
-			}
+			nparts, err := e.t.Cluster.Partitions(e.t.Topic)
 			if err != nil || nparts == 0 {
 				add(f.At, inj, func(now time.Duration) { e.record(f, now, false, "no partitions") })
 				continue
 			}
 			part := int(f.Target % uint64(nparts))
-			setDown := func(down bool) {
-				if e.t.Cluster != nil {
-					e.t.Cluster.SetPartitionDown(e.t.Topic, part, down)
-				} else {
-					e.t.Broker.SetPartitionDown(e.t.Topic, part, down)
-				}
-			}
+			setDown := func(down bool) { e.t.Cluster.SetPartitionDown(e.t.Topic, part, down) }
 			add(f.At, inj, func(now time.Duration) {
 				setDown(true)
 				e.record(f, now, true, "stalled %s[%d]", e.t.Topic, part)
@@ -233,17 +220,11 @@ func (e *Engine) timeline() ([]event, map[int]func(now time.Duration)) {
 			add(f.Until, rec, undo)
 			recoveries[rec] = undo
 		case CommitSkew:
-			if e.t.Cluster == nil && e.t.Broker == nil {
+			if e.t.Cluster == nil {
 				add(f.At, inj, func(now time.Duration) { e.record(f, now, false, "no broker") })
 				continue
 			}
-			setDelay := func(d time.Duration) {
-				if e.t.Cluster != nil {
-					e.t.Cluster.SetCommitDelay(d)
-				} else {
-					e.t.Broker.SetCommitDelay(d)
-				}
-			}
+			setDelay := e.t.Cluster.SetCommitDelay
 			add(f.At, inj, func(now time.Duration) {
 				setDelay(f.Delay)
 				e.record(f, now, true, "commit delay %v", f.Delay)

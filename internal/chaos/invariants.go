@@ -31,7 +31,7 @@ func (v Violation) String() string {
 
 // Checker is the invariant suite that runs continuously during a chaos
 // scenario. The streaming-side checks are fed by hooks (the group
-// handler calls Handled, BrokerConfig.OnCommit calls OnCommit); the
+// handler calls Handled, ClusterConfig.OnCommit calls OnCommit); the
 // batch-side checks run once the workload quiesces (CheckUnits,
 // CheckPilots after reconcile). All methods are safe for concurrent use.
 type Checker struct {
@@ -106,7 +106,7 @@ func (c *Checker) HandledCount() int {
 }
 
 // OnCommit asserts the consumer cursor never rewinds; wire it to
-// streaming.BrokerConfig.OnCommit. The broker reports applied commits
+// streaming.ClusterConfig.OnCommit. The cluster reports applied commits
 // only, so each must strictly advance the last mark this checker saw and
 // start where the previous one ended.
 func (c *Checker) OnCommit(topic string, partition int, from, through int64) {

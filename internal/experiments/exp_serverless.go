@@ -59,7 +59,8 @@ func ServerlessStreaming(scale float64, frames int) (*metrics.Table, error) {
 func serverlessTrial(tb *Testbed, partitions, frames int, cost time.Duration) (float64, metrics.Summary, int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	broker := streaming.NewBroker(streaming.BrokerConfig{
+	broker := streaming.NewCluster(streaming.ClusterConfig{
+		Shards: 1, Replication: 1,
 		AppendCost: 2 * time.Millisecond, FetchLatency: time.Millisecond, Clock: tb.Clock,
 	})
 	defer broker.Close()

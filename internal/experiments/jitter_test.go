@@ -21,7 +21,8 @@ func runJitterTrial(t *testing.T, costCV float64) metrics.Summary {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	broker := streaming.NewBroker(streaming.BrokerConfig{
+	broker := streaming.NewCluster(streaming.ClusterConfig{
+		Shards: 1, Replication: 1,
 		AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: tb.Clock,
 	})
 	defer broker.Close()
@@ -81,7 +82,8 @@ func TestServerlessCostJitterDeterministic(t *testing.T) {
 		defer tb.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		broker := streaming.NewBroker(streaming.BrokerConfig{
+		broker := streaming.NewCluster(streaming.ClusterConfig{
+			Shards: 1, Replication: 1,
 			AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: tb.Clock,
 		})
 		defer broker.Close()

@@ -1,10 +1,10 @@
 // Package scheduler provides the pluggable late-binding policies used by
 // the pilot manager. The paper's R4 (performance/efficiency for diverse
 // task workloads) and Pilot-Data's data-aware placement [66] are realized
-// here: the same application code can run under FIFO first-fit, round-
-// robin, least-loaded or data-aware scheduling, which is exactly the
-// trade-off surface the abstraction is meant to expose (§VI "Abstraction
-// Design").
+// here: the same application code can run under the manager's default
+// FIFO first-fit (a nil Scheduler) or under round-robin, least-loaded or
+// data-aware scheduling, which is exactly the trade-off surface the
+// abstraction is meant to expose (§VI "Abstraction Design").
 package scheduler
 
 import (
@@ -13,19 +13,6 @@ import (
 	"gopilot/internal/core"
 	"gopilot/internal/infra"
 )
-
-// FirstFit binds each unit to the first pilot that can host it (FIFO with
-// opportunistic backfill). It equals the manager's built-in default and
-// exists here so experiments can name it explicitly.
-type FirstFit struct{}
-
-// Name implements core.Scheduler.
-func (FirstFit) Name() string { return "first-fit" }
-
-// SelectPilot implements core.Scheduler.
-func (FirstFit) SelectPilot(_ *core.ComputeUnit, candidates []*core.Pilot, _ core.DataService) *core.Pilot {
-	return candidates[0]
-}
 
 // RoundRobin spreads units across pilots in rotation, which balances task
 // counts when tasks are uniform.
@@ -152,7 +139,6 @@ func anyReplicaExists(ids []string, data core.DataService) bool {
 }
 
 var (
-	_ core.Scheduler = FirstFit{}
 	_ core.Scheduler = (*RoundRobin)(nil)
 	_ core.Scheduler = LeastLoaded{}
 	_ core.Scheduler = DataAware{}

@@ -67,7 +67,7 @@ func waitAll(t *testing.T, mgr *core.Manager) {
 }
 
 func TestFirstFitPicksFirstCandidate(t *testing.T) {
-	e := newEnv(t, FirstFit{})
+	e := newEnv(t, nil) // nil: the manager's default first-fit policy
 	p1 := e.pilotAt(t, "siteA", 4)
 	e.pilotAt(t, "siteB", 4)
 	u, _ := e.mgr.SubmitUnit(sleepUnit(10 * time.Millisecond))
@@ -181,7 +181,6 @@ func TestDataAwareStrictDefersUntilSiteAvailable(t *testing.T) {
 
 func TestSchedulerNames(t *testing.T) {
 	cases := map[string]core.Scheduler{
-		"first-fit":         FirstFit{},
 		"round-robin":       &RoundRobin{},
 		"least-loaded":      LeastLoaded{},
 		"data-aware":        DataAware{},

@@ -12,12 +12,13 @@ import (
 	"gopilot/internal/vclock"
 )
 
-// Cluster federates N broker shards behind the single client-facing Bus
-// API (DESIGN.md "Federation"): producers and consumer groups talk to
-// the cluster exactly as to one Broker, while every shard runs its own
-// physical Broker and every partition's log is *replicated* — the leader
-// appends locally, per-link catch-up runners stream acknowledged batches
-// to the followers in virtual time, and a per-partition acknowledged
+// Cluster is the broker: N shards behind the client-facing Bus API
+// (DESIGN.md "Federation"). A standalone deployment is a Cluster with
+// Shards: 1 and Replication: 1 — one log, no followers, no catch-up
+// runners. With more shards every shard runs its own physical log and
+// every partition's log is *replicated* — the leader appends locally,
+// per-link catch-up runners stream acknowledged batches to the
+// followers in virtual time, and a per-partition acknowledged
 // high watermark (the minimum log end across full members) gates what
 // consumers may fetch and commit. Only quorum-acknowledged offsets are
 // visible, so a publish returns when its batch is replicated, and a
@@ -42,12 +43,9 @@ import (
 // functions, so same-seed runs place, re-place and repair identically.
 type Cluster struct {
 	cfg     ClusterConfig
-	shards  []*Broker
+	shards  []*shardLog
 	offsets *OffsetStore
 	clock   vclock.Clock
-
-	fetchLatency time.Duration
-	segSize      int
 
 	runCtx context.Context
 	stopFn context.CancelFunc
@@ -71,7 +69,16 @@ type Cluster struct {
 type fedTopic struct {
 	name  string
 	parts []*fedPart
-	rr    int // round-robin cursor for key-less publishes (see topic.rr)
+	// rr is the round-robin cursor for key-less publishes. It is shared
+	// mutable state across all producers of the topic, advanced under the
+	// cluster lock while a batch's partitions are being assigned — so
+	// placement is a pure function of the topic-wide publish order. On
+	// vclock.Virtual that order is seed-determined, which makes key-less
+	// placement bit-identical across same-seed runs
+	// (TestKeylessPlacementDeterministicAcrossProducers); on real clocks
+	// concurrent producers race for the cursor and placement is only
+	// guaranteed to stay balanced, not reproducible.
+	rr int
 }
 
 // fedPart is the control-plane state of one partition.
@@ -107,10 +114,8 @@ type fedPart struct {
 	ackWait []*vclock.Event
 }
 
-// ClusterConfig configures a Cluster. The broker-shaped fields
-// (AppendCost, FetchLatency, SegmentSize, MaxInflightBytes, OnCommit,
-// Clock) carry the same semantics as BrokerConfig and apply to every
-// shard's broker.
+// ClusterConfig configures a Cluster. The broker-shaped fields at the end
+// (AppendCost through Clock) apply to every shard's log.
 type ClusterConfig struct {
 	// Name labels the cluster (default "cluster").
 	Name string
@@ -144,12 +149,34 @@ type ClusterConfig struct {
 	// The E13 inline invariants prove watermark monotonicity here.
 	OnAcked func(topic string, partition int, from, to int64)
 
-	AppendCost       time.Duration
-	FetchLatency     time.Duration
-	SegmentSize      int
+	// AppendCost is the modeled broker-side cost per message appended to a
+	// partition; it bounds per-partition throughput at 1/AppendCost msg/s.
+	// Default 100µs (≈10k msg/s per partition).
+	AppendCost time.Duration
+	// FetchLatency is the modeled cost per consumer long-poll round trip
+	// (charged once per Fetch/FetchOrWait call, however many messages the
+	// poll returns and however long it parks). Default 1ms.
+	FetchLatency time.Duration
+	// SegmentSize is the number of messages per log segment (default
+	// 4096). A segment's backing array is allocated once at full capacity
+	// and never reallocated, which is what makes fetched views stable.
+	SegmentSize int
+	// MaxInflightBytes bounds, per partition, the bytes published but not
+	// yet committed (see Commit). When the bound is hit, publishes to that
+	// partition block in modeled time until consumers commit — the
+	// backpressure that keeps a lagging consumer group from being buried.
+	// Zero disables backpressure (consumers that never commit, like plain
+	// Processors, then run unthrottled).
 	MaxInflightBytes int64
-	OnCommit         func(topic string, partition int, from, through int64)
-	Clock            vclock.Clock
+	// OnCommit, if set, observes every *applied* commit on a partition's
+	// leader: the mark moved from `from` to `through`. Clamped and no-op
+	// commits are not reported. Invoked under the partition lock, so
+	// callbacks see per-partition commits in application order and must
+	// not call back into the cluster. The chaos invariant checker uses
+	// this to prove consumer cursors never rewind.
+	OnCommit func(topic string, partition int, from, through int64)
+	// Clock supplies virtual time; defaults to vclock.Real.
+	Clock vclock.Clock
 }
 
 // staleHandoffBug, when set, plants the deliberate stale-handoff defect:
@@ -169,8 +196,8 @@ func EnableStaleHandoffBug(on bool) { staleHandoffBug.Store(on) }
 // replBatchMax bounds one replication batch (messages per runner round).
 const replBatchMax = 4096
 
-// NewCluster creates a federated cluster of cfg.Shards broker shards,
-// all up, each with its own physical log.
+// NewCluster creates a cluster of cfg.Shards broker shards, all up, each
+// with its own physical log.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Name == "" {
 		cfg.Name = "cluster"
@@ -196,34 +223,31 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Offsets == nil {
 		cfg.Offsets = NewOffsetStore()
 	}
-	fetchLatency := cfg.FetchLatency
-	if fetchLatency <= 0 {
-		fetchLatency = time.Millisecond
+	if cfg.AppendCost <= 0 {
+		cfg.AppendCost = 100 * time.Microsecond
 	}
-	segSize := cfg.SegmentSize
-	if segSize <= 0 {
-		segSize = 4096
+	if cfg.FetchLatency <= 0 {
+		cfg.FetchLatency = time.Millisecond
+	}
+	if cfg.SegmentSize <= 0 {
+		cfg.SegmentSize = 4096
 	}
 	runCtx, stop := context.WithCancel(context.Background())
 	c := &Cluster{
-		cfg:          cfg,
-		offsets:      cfg.Offsets,
-		clock:        cfg.Clock,
-		fetchLatency: fetchLatency,
-		segSize:      segSize,
-		runCtx:       runCtx,
-		stopFn:       stop,
-		up:           make([]bool, cfg.Shards),
-		severed:      make([][]bool, cfg.Shards),
-		lagFac:       make([][]float64, cfg.Shards),
-		topics:       make(map[string]*fedTopic),
+		cfg:     cfg,
+		offsets: cfg.Offsets,
+		clock:   cfg.Clock,
+		runCtx:  runCtx,
+		stopFn:  stop,
+		up:      make([]bool, cfg.Shards),
+		severed: make([][]bool, cfg.Shards),
+		lagFac:  make([][]float64, cfg.Shards),
+		topics:  make(map[string]*fedTopic),
 	}
-	c.shards = make([]*Broker, cfg.Shards)
+	c.shards = make([]*shardLog, cfg.Shards)
 	for i := range c.shards {
-		c.shards[i] = NewBroker(BrokerConfig{
-			Name:             fmt.Sprintf("%s-shard%d", cfg.Name, i),
+		c.shards[i] = newShardLog(shardLogConfig{
 			AppendCost:       cfg.AppendCost,
-			FetchLatency:     cfg.FetchLatency,
 			SegmentSize:      cfg.SegmentSize,
 			MaxInflightBytes: cfg.MaxInflightBytes,
 			OnCommit:         cfg.OnCommit,
@@ -241,16 +265,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 
 // Clock returns the cluster's clock.
 func (c *Cluster) Clock() vclock.Clock { return c.clock }
-
-// Shard exposes one shard's physical broker — for tests and accounting
-// reads that address a specific log copy. Client traffic goes through
-// the Cluster's Bus surface.
-func (c *Cluster) Shard(id int) *Broker {
-	if id < 0 || id >= len(c.shards) {
-		return nil
-	}
-	return c.shards[id]
-}
 
 // Offsets returns the cluster's consumer-offset KV; wire it into
 // GroupConfig.Offsets so group commits drive retention.
@@ -717,7 +731,7 @@ func (c *Cluster) FailShard(id int) error {
 	c.fireCtrlLocked()
 	c.mu.Unlock()
 
-	// Close the dead shard's broker: anything parked inside it (leader
+	// Close the dead shard's log: anything parked inside it (leader
 	// appends under backpressure, stray accounting reads) unblocks with
 	// ErrBrokerClosed and re-routes through the new placement.
 	c.shards[id].Close()
@@ -823,8 +837,11 @@ func (c *Cluster) SetPartitionDown(topic string, partition int, down bool) error
 	return nil
 }
 
-// SetCommitDelay injects commit skew on every shard (see
-// Broker.SetCommitDelay).
+// SetCommitDelay injects commit skew: every subsequent Commit holds the
+// acknowledgement in flight for d of modeled time before applying it, on
+// every shard. Zero restores immediate commits. The chaos engine toggles
+// this to stretch the window in which backpressure and rebalance
+// decisions act on stale commit marks.
 func (c *Cluster) SetCommitDelay(d time.Duration) {
 	for _, b := range c.shards {
 		b.SetCommitDelay(d)
@@ -1012,7 +1029,7 @@ func (c *Cluster) parkCtrl() bool {
 // parkData parks the calling runner until the leader's log grows past
 // end, the control plane changes, or the cluster closes. Returns false
 // when the runner should exit.
-func (c *Cluster) parkData(lb *Broker, topicName string, q int, end int64) bool {
+func (c *Cluster) parkData(lb *shardLog, topicName string, q int, end int64) bool {
 	w := vclock.NewEvent(c.clock)
 	lb.registerFetchWaiter(topicName, q, w)
 	c.mu.Lock()
@@ -1124,7 +1141,7 @@ func (c *Cluster) OldestOffset(topic string, partition int) (int64, error) {
 // Close stops the replication plane and control walkers, wakes
 // everything parked on cluster state (producers in acknowledgement
 // waits, fetchers behind fences, catch-up runners), and closes every
-// shard broker — so a Close mid-handoff unwinds cleanly with no leaked
+// shard log — so a Close mid-handoff unwinds cleanly with no leaked
 // waiters or goroutines.
 func (c *Cluster) Close() {
 	c.mu.Lock()

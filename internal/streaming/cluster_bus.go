@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"sync"
 	"time"
 
 	"gopilot/internal/vclock"
@@ -17,6 +19,28 @@ import (
 // cluster-truth mark. A leader handoff mid-call re-routes transparently:
 // parked publishes re-append their un-acknowledged suffix to the new
 // leader, parked fetches re-resolve the leader on wake.
+
+// pubScratch is the reusable workspace of one publish call: per-message
+// partition assignment, per-partition counts and byte totals, and the
+// counting-sorted index order. Pooled so a steady-state publish allocates
+// nothing beyond the log segments themselves.
+type pubScratch struct {
+	assign []int32 // partition per message
+	order  []int32 // message indices grouped by partition, publish order kept
+	counts []int32 // messages per partition
+	fill   []int32 // counting-sort cursor, then per-partition group ends
+	bytes  []int64 // payload bytes per partition
+}
+
+var pubScratchPool = sync.Pool{New: func() any { return new(pubScratch) }}
+
+// partitionOf places a keyed message: FNV-1a of the key modulo the
+// partition count.
+func partitionOf(key []byte, n int) int {
+	h := fnv.New32a()
+	h.Write(key)
+	return int(h.Sum32() % uint32(n))
+}
 
 // pubRec tracks one partition's sub-batch through a cluster publish:
 // where it landed ([s, e) on the leader under `epoch`), which batch
@@ -45,7 +69,7 @@ func (c *Cluster) Partitions(name string) (int, error) {
 }
 
 // Publish appends one message through the replicated log, returning once
-// it is acknowledged on quorum.
+// it is acknowledged on quorum (see Bus.Publish).
 func (c *Cluster) Publish(ctx context.Context, topic string, key, value []byte) (Message, error) {
 	out := make([]Message, 0, 1)
 	err := c.publish(ctx, topic, 1, func(int) ([]byte, []byte) { return key, value }, &out)
@@ -56,7 +80,8 @@ func (c *Cluster) Publish(ctx context.Context, topic string, key, value []byte) 
 }
 
 // PublishBatch appends a batch of (key, value) pairs, returning once
-// every sub-batch is acknowledged on quorum.
+// every sub-batch is acknowledged on quorum (see Bus.PublishBatch for the
+// result contract).
 func (c *Cluster) PublishBatch(ctx context.Context, topic string, kvs [][2][]byte) ([]Message, error) {
 	out := make([]Message, 0, len(kvs))
 	err := c.publish(ctx, topic, len(kvs), func(i int) ([]byte, []byte) { return kvs[i][0], kvs[i][1] }, &out)
@@ -69,12 +94,12 @@ func (c *Cluster) PublishValues(ctx context.Context, topic string, values [][]by
 }
 
 // publish is the shared producer path: assign partitions under the
-// cluster lock (same counting-sort grouping as Broker.publish), append
-// each sub-batch on its partition's current leader, then park until
-// every sub-batch is acknowledged on quorum. A handoff while parked
-// re-appends the un-acknowledged suffix — the prefix below the handoff's
-// truncation point survived on the promoted log — so a publish that
-// returns nil has every message durable on every full member.
+// cluster lock, append each sub-batch on its partition's current leader,
+// then park until every sub-batch is acknowledged on quorum. A handoff
+// while parked re-appends the un-acknowledged suffix — the prefix below
+// the handoff's truncation point survived on the promoted log — so a
+// publish that returns nil has every message durable on every full
+// member.
 func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(int) ([]byte, []byte), out *[]Message) error {
 	if n == 0 {
 		return nil
@@ -91,6 +116,12 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 	}
 	nparts := len(t.parts)
 
+	// The batch is traversed once under the cluster lock — assignment
+	// (key hash, or the topic's round-robin cursor), counts and byte totals
+	// in the same pass — and a counting sort over pooled scratch yields
+	// each partition's indices in publish order without growing
+	// per-partition slices: one kv() call per message and zero
+	// steady-state allocations for the grouping stage.
 	sc := pubScratchPool.Get().(*pubScratch)
 	defer pubScratchPool.Put(sc)
 	if cap(sc.assign) < n {
@@ -122,6 +153,9 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 	}
 	c.mu.Unlock()
 
+	// Counting sort: scatter message indices into order, grouped by
+	// partition with publish order preserved inside each group. After the
+	// scatter, fill[p] is the end of partition p's group.
 	var sum int32
 	for p := range counts {
 		fill[p] = sum
@@ -134,8 +168,9 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 	}
 
 	var res []Message
+	var base int
 	if out != nil {
-		base := len(*out)
+		base = len(*out)
 		*out = append(*out, make([]Message, n)...)
 		res = (*out)[base:]
 	}
@@ -145,6 +180,7 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 	var latest time.Time
 	var lo int32
 	for p := 0; p < nparts; p++ {
+		from := lo
 		idxs := order[lo:fill[p]]
 		slot := res
 		if res != nil {
@@ -156,6 +192,11 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 		}
 		r := pubRec{p: p, idxs: idxs, res: slot, add: bytes[p]}
 		if err := c.appendToLeader(ctx, t, &r, kv, &latest); err != nil {
+			if out != nil {
+				// Only the sub-batches before this one were appended; results
+				// are grouped by partition, so they are exactly the prefix.
+				*out = (*out)[:base+int(from)]
+			}
 			return err
 		}
 		recs = append(recs, r)
@@ -322,7 +363,7 @@ func (c *Cluster) Fetch(ctx context.Context, topic string, partition int, offset
 	return msgs, err
 }
 
-// FetchOrWait is the consumer hot path (see Broker.FetchOrWait): one
+// FetchOrWait is the consumer hot path (see Bus.FetchOrWait): one
 // modeled long-poll over a set of partitions, served from each
 // partition's leader log and capped at the acknowledged watermark —
 // consumers never see offsets that could be truncated by a handoff. A
@@ -350,7 +391,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 	if start < 0 {
 		start = 0
 	}
-	if !c.clock.Sleep(ctx, c.fetchLatency) {
+	if !c.clock.Sleep(ctx, c.cfg.FetchLatency) {
 		return 0, nil, ctx.Err()
 	}
 	ackedSeen := make([]int64, len(parts))
@@ -409,7 +450,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 				if int64(m) > limit {
 					m = int(limit)
 				}
-				if batch := lp.view(offsets[j], m, c.segSize); len(batch) > 0 {
+				if batch := lp.view(offsets[j], m, c.cfg.SegmentSize); len(batch) > 0 {
 					lp.mu.Unlock()
 					if w != nil {
 						w.Fire() // mark registrations on earlier partitions dead

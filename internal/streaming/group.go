@@ -22,7 +22,7 @@ import (
 // Protocol (DESIGN.md "Streaming data plane"): membership changes create
 // a new *generation*. Workers of the obsolete generation are interrupted
 // mid-long-poll (their generation context is canceled, which wakes the
-// clock-aware park inside FetchOrWait — the WaitAny waiter machinery),
+// clock-aware park inside FetchOrWait — the partition waiter lists),
 // finish and commit any batch already in flight, then acknowledge the new
 // generation. Only when every worker touched by the change has
 // acknowledged does the new assignment activate (the generation barrier),
@@ -41,7 +41,7 @@ import (
 
 // GroupConfig describes a consumer group: a coordinator plus a pool of
 // worker units consuming one topic with dynamic membership, commit-based
-// progress, and (with Broker.MaxInflightBytes) backpressure.
+// progress, and (with ClusterConfig.MaxInflightBytes) backpressure.
 type GroupConfig struct {
 	// Name labels the group's compute units.
 	Name string
@@ -116,8 +116,8 @@ type Group struct {
 }
 
 // StartGroup deploys the initial workers onto mgr's pilots and starts
-// consuming from the given transport (one Broker or a federated
-// Cluster). Stop (or ctx cancellation) terminates the group.
+// consuming from the given transport (a Cluster of any shape). Stop (or
+// ctx cancellation) terminates the group.
 func StartGroup(ctx context.Context, mgr *core.Manager, broker Bus, cfg GroupConfig) (*Group, error) {
 	if cfg.Handler == nil {
 		return nil, errors.New("streaming: group needs a handler")
@@ -472,7 +472,7 @@ func (g *Group) consume(gen *generation, tc core.TaskContext, parts []int, jitte
 		}
 		g.mu.Unlock()
 		if err := g.broker.Commit(g.cfg.Topic, parts[i], offsets[i]); err != nil {
-			// Broker closed (or topic torn down) between the fetch and the
+			// Bus closed (or topic torn down) between the fetch and the
 			// commit: exit so run() evicts this worker now instead of
 			// discovering the closure on the next poll.
 			return err

@@ -39,7 +39,7 @@ func TestGroupRebalanceExactlyOnce(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{
+	b := single(ClusterConfig{
 		AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock,
 	})
 	defer b.Close()
@@ -137,7 +137,7 @@ func groupJitterRun(t *testing.T, jitterSeed uint64) string {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{
+	b := single(ClusterConfig{
 		AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond,
 		SegmentSize: 64, MaxInflightBytes: 1 << 12, Clock: clock,
 	})
@@ -255,7 +255,7 @@ func TestPublishBackpressureBlocksAndResumes(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{
+	b := single(ClusterConfig{
 		AppendCost:       time.Millisecond,
 		FetchLatency:     time.Millisecond,
 		MaxInflightBytes: 100,
@@ -280,7 +280,7 @@ func TestPublishBackpressureBlocksAndResumes(t *testing.T) {
 	if now := clock.Now(); !now.Equal(t10) {
 		t.Fatalf("after fill clock = %v, want %v", now, t10)
 	}
-	if inflight, _ := b.InflightBytes("t", 0); inflight != 100 {
+	if inflight := inflightBytes(t, b, "t", 0); inflight != 100 {
 		t.Fatalf("inflight = %d, want 100", inflight)
 	}
 
@@ -321,9 +321,22 @@ func TestPublishBackpressureBlocksAndResumes(t *testing.T) {
 		t.Errorf("committed = %d, want 5", committed)
 	}
 	// 100 - 5×10 freed + 10 published while blocked.
-	if inflight, _ := b.InflightBytes("t", 0); inflight != 60 {
+	if inflight := inflightBytes(t, b, "t", 0); inflight != 60 {
 		t.Errorf("inflight = %d, want 60", inflight)
 	}
+}
+
+// inflightBytes reads a partition's published-but-uncommitted bytes —
+// the quantity MaxInflightBytes bounds — on a single-shard cluster's log.
+func inflightBytes(t *testing.T, c *Cluster, topic string, partition int) int64 {
+	t.Helper()
+	part, err := c.shards[0].partRef(topic, partition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	return part.inflight
 }
 
 // TestGroupWorkerFailureEvictsAndRebalances covers the abnormal-exit
@@ -335,7 +348,7 @@ func TestGroupWorkerFailureEvictsAndRebalances(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{
+	b := single(ClusterConfig{
 		AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock,
 	})
 	defer b.Close()
@@ -428,7 +441,7 @@ func TestGroupBackToBackRebalanceExactlyOnce(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{
+	b := single(ClusterConfig{
 		AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock,
 	})
 	defer b.Close()
@@ -536,7 +549,7 @@ func TestCanceledBackpressurePublishLeavesNoWaiters(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{
+	b := single(ClusterConfig{
 		AppendCost:       time.Millisecond,
 		MaxInflightBytes: 100,
 		Clock:            clock,
@@ -558,9 +571,10 @@ func TestCanceledBackpressurePublishLeavesNoWaiters(t *testing.T) {
 			t.Fatalf("publish %d: err = %v, want context.Canceled", i, err)
 		}
 	}
-	b.mu.Lock()
-	part := b.topics["t"].partitions[0]
-	b.mu.Unlock()
+	part, err := b.shards[0].partRef("t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	part.mu.Lock()
 	waiters := len(part.space)
 	part.mu.Unlock()
@@ -585,7 +599,7 @@ func TestGroupValidation(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{Clock: clock})
+	b := single(ClusterConfig{Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 1)
 	mgr := newVirtualStreamEnv(t, clock, 2)

@@ -153,7 +153,7 @@ func TestGroupRestartResumesFromPersistedOffsets(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{
+	b := single(ClusterConfig{
 		AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock,
 	})
 	defer b.Close()
@@ -237,7 +237,7 @@ func TestRestartRedeliversExactlyTheUncommittedBatch(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{AppendCost: 10 * time.Microsecond, Clock: clock})
+	b := single(ClusterConfig{AppendCost: 10 * time.Microsecond, Clock: clock})
 	defer b.Close()
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)

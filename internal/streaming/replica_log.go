@@ -9,31 +9,19 @@ import (
 	"gopilot/internal/vclock"
 )
 
-// Broker-side primitives of the per-shard replicated log. Every shard in
-// a federated Cluster runs its own physical Broker; the cluster's
-// replication plane drives these package-private hooks to stream
+// Shard-side primitives of the replicated log. Every Cluster shard runs
+// its own shardLog; the cluster's data plane appends through
+// clusterAppend, and its replication plane drives the other hooks to stream
 // acknowledged batches leader→follower, detect and repair diverged
 // suffixes after a handoff, and bootstrap recruits. None of them charge
 // modeled time themselves — pacing lives in the cluster's catch-up
 // runners, where it belongs to the *link*, not the log.
 
-// partRef resolves one partition of a topic, with bounds checking.
-func (b *Broker) partRef(topicName string, pi int) (*partition, error) {
-	t, err := b.topicByName(topicName)
-	if err != nil {
-		return nil, err
-	}
-	if pi < 0 || pi >= len(t.partitions) {
-		return nil, fmt.Errorf("streaming: partition %d out of range for %q", pi, topicName)
-	}
-	return t.partitions[pi], nil
-}
-
 // setEpoch sets the leadership epoch stamped onto subsequent local
 // appends of one partition. The cluster bumps it on the promoted leader
 // at every handoff, which is what makes divergence detectable: a deposed
 // leader's locally-acked suffix carries the old epoch.
-func (b *Broker) setEpoch(topicName string, pi, epoch int) {
+func (b *shardLog) setEpoch(topicName string, pi, epoch int) {
 	part, err := b.partRef(topicName, pi)
 	if err != nil {
 		return
@@ -44,7 +32,7 @@ func (b *Broker) setEpoch(topicName string, pi, epoch int) {
 }
 
 // epochSpans returns a snapshot copy of a partition's epoch-span chain.
-func (b *Broker) epochSpans(topicName string, pi int) []plan.EpochSpan {
+func (b *shardLog) epochSpans(topicName string, pi int) []plan.EpochSpan {
 	return b.epochSpansInto(topicName, pi, nil)
 }
 
@@ -53,7 +41,7 @@ func (b *Broker) epochSpans(topicName string, pi int) []plan.EpochSpan {
 // compare chains every streamed batch) amortizes the copy to zero
 // allocations once the buffer's capacity stabilizes. The returned slice
 // must not be retained past the caller's next reuse of buf.
-func (b *Broker) epochSpansInto(topicName string, pi int, buf []plan.EpochSpan) []plan.EpochSpan {
+func (b *shardLog) epochSpansInto(topicName string, pi int, buf []plan.EpochSpan) []plan.EpochSpan {
 	part, err := b.partRef(topicName, pi)
 	if err != nil {
 		return nil
@@ -69,7 +57,7 @@ func (b *Broker) epochSpansInto(topicName string, pi int, buf []plan.EpochSpan) 
 // An empty batch with end > from means `from` fell below the retention
 // floor (the follower must be reset); an empty batch with end == from
 // means the follower is caught up.
-func (b *Broker) replBatch(topicName string, pi int, from int64, maxMsgs int) (msgs []Message, first, end, committed int64) {
+func (b *shardLog) replBatch(topicName string, pi int, from int64, maxMsgs int) (msgs []Message, first, end, committed int64) {
 	part, err := b.partRef(topicName, pi)
 	if err != nil {
 		return nil, 0, 0, 0
@@ -92,7 +80,7 @@ func (b *Broker) replBatch(topicName string, pi int, from int64, maxMsgs int) (m
 // mark advances lazily toward the leader's (never past its own end)
 // without firing OnCommit: the commit was already observed, exactly
 // once, on the leader.
-func (b *Broker) appendReplicated(topicName string, pi int, msgs []Message, spans []plan.EpochSpan, leaderCommitted int64) error {
+func (b *shardLog) appendReplicated(topicName string, pi int, msgs []Message, spans []plan.EpochSpan, leaderCommitted int64) error {
 	if len(msgs) == 0 {
 		return nil
 	}
@@ -158,7 +146,7 @@ func (b *Broker) appendReplicated(topicName string, pi int, msgs []Message, span
 // truncation point is at or above it, so no live view reaches the
 // dropped (and later overwritten) slots. The commit mark clamps down
 // with the log; epoch spans starting at or above `to` are dropped.
-func (b *Broker) truncateTo(topicName string, pi int, to int64) {
+func (b *shardLog) truncateTo(topicName string, pi int, to int64) {
 	part, err := b.partRef(topicName, pi)
 	if err != nil {
 		return
@@ -201,7 +189,7 @@ func (b *Broker) truncateTo(topicName string, pi int, to int64) {
 // bootstrap for a recruit shard whose log starts behind the leader's
 // retention floor. All segment indexing is relative to the floor, so
 // `first` needs no alignment.
-func (b *Broker) resetTo(topicName string, pi int, first int64) {
+func (b *shardLog) resetTo(topicName string, pi int, first int64) {
 	part, err := b.partRef(topicName, pi)
 	if err != nil {
 		return
@@ -223,7 +211,7 @@ func (b *Broker) resetTo(topicName string, pi int, first int64) {
 // path, where the coordinator re-applies its own commit mark to a
 // promoted follower whose lazily-replicated local mark may trail it.
 // The in-flight account is recomputed to match.
-func (b *Broker) setCommitted(topicName string, pi int, mark int64) {
+func (b *shardLog) setCommitted(topicName string, pi int, mark int64) {
 	part, err := b.partRef(topicName, pi)
 	if err != nil {
 		return
@@ -247,7 +235,7 @@ func (b *Broker) setCommitted(topicName string, pi int, mark int64) {
 // calls this when the acknowledged watermark advances, because a parked
 // consumer's fetchable range is gated by the watermark, not just by the
 // leader's log end.
-func (b *Broker) wakeFetchers(topicName string, pi int) {
+func (b *shardLog) wakeFetchers(topicName string, pi int) {
 	part, err := b.partRef(topicName, pi)
 	if err != nil {
 		return
@@ -264,7 +252,7 @@ func (b *Broker) wakeFetchers(topicName string, pi int) {
 // registerFetchWaiter parks w on a partition's data-waiter list (the
 // cluster's catch-up runners use this to sleep until the leader's log
 // grows).
-func (b *Broker) registerFetchWaiter(topicName string, pi int, w *vclock.Event) {
+func (b *shardLog) registerFetchWaiter(topicName string, pi int, w *vclock.Event) {
 	part, err := b.partRef(topicName, pi)
 	if err != nil {
 		w.Fire()
@@ -275,17 +263,16 @@ func (b *Broker) registerFetchWaiter(topicName string, pi int, w *vclock.Event) 
 	part.mu.Unlock()
 }
 
-// clusterAppend is the leader-side append of one cluster publish: the
-// per-partition body of Broker.publish (backpressure park, modeled
-// append cost, consumer wake) exposed so the Cluster can route each
-// sub-batch to the partition's current leader shard and re-drive it
-// after a mid-publish handoff. idxs are the batch indices destined for
+// clusterAppend is the leader-side append of one cluster publish
+// (backpressure park, modeled append cost, consumer wake): the Cluster
+// routes each sub-batch to the partition's current leader shard and
+// re-drives it after a mid-publish handoff. idxs are the batch indices destined for
 // this partition; kv resolves index→(key, value); add is their payload
 // byte total; when out is non-nil it has len(idxs) slots and receives
 // the appended messages. Returns the appended offset range [start, end)
 // and the modeled finish time (the caller sleeps once, to the slowest
 // partition, after all sub-batches land).
-func (b *Broker) clusterAppend(ctx context.Context, topicName string, pi int, idxs []int32, kv func(int) ([]byte, []byte), add int64, out []Message) (start, end int64, finish time.Time, err error) {
+func (b *shardLog) clusterAppend(ctx context.Context, topicName string, pi int, idxs []int32, kv func(int) ([]byte, []byte), add int64, out []Message) (start, end int64, finish time.Time, err error) {
 	t, terr := b.topicByName(topicName)
 	if terr != nil {
 		return 0, 0, time.Time{}, terr
@@ -297,12 +284,18 @@ func (b *Broker) clusterAppend(ctx context.Context, topicName string, pi int, id
 	clock := b.cfg.Clock
 	segSize := b.cfg.SegmentSize
 	part.mu.Lock()
-	for part.fencePub || (b.cfg.MaxInflightBytes > 0 && part.inflight > 0 && part.inflight+add > b.cfg.MaxInflightBytes) {
+	// Backpressure: park (in modeled time) until the partition has room.
+	// An idle partition always admits at least one batch, so a batch
+	// larger than the whole bound cannot deadlock.
+	for b.cfg.MaxInflightBytes > 0 && part.inflight > 0 && part.inflight+add > b.cfg.MaxInflightBytes {
 		w := vclock.NewEvent(clock)
 		registerEvent(&part.space, w)
 		part.mu.Unlock()
-		// Same closed/canceled discipline as Broker.publish: re-check after
-		// registering, fire on every abandoning exit (see registerEvent).
+		// Re-check closed *after* registering: Close sets the flag before
+		// sweeping the waiter lists, so a registration the sweep missed is
+		// guaranteed to see the flag here instead of parking on an event
+		// nobody will ever fire. Fire on every abandoning exit so
+		// registerEvent recognizes the entry as dead (see registerEvent).
 		if b.isClosed() {
 			w.Fire()
 			return 0, 0, time.Time{}, ErrBrokerClosed
@@ -316,6 +309,8 @@ func (b *Broker) clusterAppend(ctx context.Context, topicName string, pi int, id
 		}
 		part.mu.Lock()
 	}
+	// Read the clock after any backpressure wait: Published stamps the
+	// instant the shard accepted the batch.
 	now := clock.Now()
 	st := part.nextFree
 	if st.Before(now) {

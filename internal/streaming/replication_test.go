@@ -246,7 +246,7 @@ func assertReplicaLogsIdentical(t *testing.T, c *Cluster, topic string, part int
 	}
 }
 
-func mustOldest(t *testing.T, b *Broker, topic string, part int) int64 {
+func mustOldest(t *testing.T, b *shardLog, topic string, part int) int64 {
 	t.Helper()
 	o, err := b.OldestOffset(topic, part)
 	if err != nil {

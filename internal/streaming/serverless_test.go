@@ -94,7 +94,7 @@ func TestServerlessValidation(t *testing.T) {
 
 func TestServerlessColdStartShowsInLatency(t *testing.T) {
 	clock := vclock.NewScaled(500)
-	b := NewBroker(BrokerConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
+	b := single(ClusterConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 1)
 	// Expensive cold start, no warm expiry within the test.

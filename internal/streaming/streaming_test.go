@@ -16,8 +16,15 @@ import (
 
 func fastClock() *vclock.Scaled { return vclock.NewScaled(2000) }
 
-func newBroker(clock *vclock.Scaled) *Broker {
-	return NewBroker(BrokerConfig{
+// single builds the standalone deployment every non-replicated test
+// runs on: a one-shard cluster with no replicas.
+func single(cfg ClusterConfig) *Cluster {
+	cfg.Shards, cfg.Replication = 1, 1
+	return NewCluster(cfg)
+}
+
+func newBroker(clock *vclock.Scaled) *Cluster {
+	return single(ClusterConfig{
 		Name:         "b",
 		AppendCost:   time.Millisecond, // 1000 msg/s per partition
 		FetchLatency: time.Millisecond,
@@ -174,7 +181,7 @@ func TestAppendCostThrottlesProducer(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{AppendCost: 10 * time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
+	b := single(ClusterConfig{AppendCost: 10 * time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 1)
 	start := clock.Now()
@@ -195,7 +202,7 @@ func TestMorePartitionsRaiseCapacity(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{AppendCost: 10 * time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
+	b := single(ClusterConfig{AppendCost: 10 * time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("one", 1)
 	b.CreateTopic("four", 4)
@@ -361,7 +368,7 @@ func TestWindowPanicsOnBadWidth(t *testing.T) {
 
 func TestProduceAtRate(t *testing.T) {
 	clock := fastClock()
-	b := NewBroker(BrokerConfig{AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock})
+	b := single(ClusterConfig{AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 4)
 	rate, err := Produce(context.Background(), b, "t", 200, 100, []byte("x")) // 100 msg/s target
@@ -377,7 +384,7 @@ func TestProduceAtRate(t *testing.T) {
 // crosses a segment, so consumers see at most SegmentSize messages per
 // view and loop across boundaries without losing order.
 func TestFetchSegmentBoundaries(t *testing.T) {
-	b := NewBroker(BrokerConfig{
+	b := single(ClusterConfig{
 		AppendCost: time.Microsecond, FetchLatency: time.Microsecond,
 		SegmentSize: 4, Clock: fastClock(),
 	})
@@ -418,7 +425,7 @@ func TestFetchSegmentBoundaries(t *testing.T) {
 // appending into the same segment, and appending to the view cannot
 // clobber the log.
 func TestFetchViewStableWhileAppending(t *testing.T) {
-	b := NewBroker(BrokerConfig{
+	b := single(ClusterConfig{
 		AppendCost: time.Microsecond, FetchLatency: time.Microsecond,
 		SegmentSize: 8, Clock: fastClock(),
 	})
@@ -460,7 +467,7 @@ func TestFetchViewStableWhileAppending(t *testing.T) {
 // TestFetchOrWaitChargesLatencyOnce is the empty-poll regression test:
 // one FetchOrWait charges the long-poll RTT exactly once, whether data
 // was ready or the poll had to park. Before the combined call, a parked
-// consumer paid FetchLatency again after waking (WaitAny then Fetch),
+// consumer paid FetchLatency again after waking (a wait, then a Fetch),
 // inflating modeled end-to-end latency by one RTT on every empty poll.
 func TestFetchOrWaitChargesLatencyOnce(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
@@ -470,7 +477,7 @@ func TestFetchOrWaitChargesLatencyOnce(t *testing.T) {
 		appendCost = 2 * time.Millisecond
 		fetchRTT   = 3 * time.Millisecond
 	)
-	b := NewBroker(BrokerConfig{AppendCost: appendCost, FetchLatency: fetchRTT, Clock: clock})
+	b := single(ClusterConfig{AppendCost: appendCost, FetchLatency: fetchRTT, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 1)
 	ctx := context.Background()
@@ -532,7 +539,7 @@ func TestKeylessPlacementDeterministicAcrossProducers(t *testing.T) {
 		clock := vclock.NewVirtual(vclock.Epoch)
 		clock.Adopt()
 		defer clock.Leave()
-		b := NewBroker(BrokerConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
+		b := single(ClusterConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
 		defer b.Close()
 		b.CreateTopic("t", 4)
 		placements := make([][]string, 2)
@@ -561,39 +568,50 @@ func TestKeylessPlacementDeterministicAcrossProducers(t *testing.T) {
 	}
 }
 
-// TestWaitAnyWakesAcrossPartitions keeps the bare scheduling hook
-// honest: a WaitAny over several partitions wakes on a publish to any of
-// them and charges nothing.
-func TestWaitAnyWakesAcrossPartitions(t *testing.T) {
+// TestPublishBatchPartialResultIsAppendedPrefix pins the PublishBatch
+// error contract: when a later partition's sub-batch fails (here, ctx
+// canceled while partition 1 is held at its backpressure bound), the
+// result holds exactly the messages that were appended — partition 0's —
+// and no zero-valued placeholder for the sub-batch that never landed.
+func TestPublishBatchPartialResultIsAppendedPrefix(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
+	b := single(ClusterConfig{AppendCost: time.Millisecond, MaxInflightBytes: 10, Clock: clock})
 	defer b.Close()
-	b.CreateTopic("t", 3)
-	woke := vclock.NewEvent(clock)
-	var wokeAt time.Time
-	vclock.Go(clock, func() {
-		defer woke.Fire()
-		ok, err := b.WaitAny(context.Background(), "t", []int{0, 1, 2}, []int64{0, 0, 0})
-		if !ok || err != nil {
-			t.Errorf("WaitAny = %v, %v", ok, err)
-			return
-		}
-		wokeAt = clock.Now()
-	})
-	if !clock.Sleep(context.Background(), 5*time.Millisecond) {
-		t.Fatal("driver sleep canceled")
-	}
-	m, err := b.Publish(context.Background(), "t", []byte("key-to-some-partition"), []byte("x"))
-	if err != nil {
+	if err := b.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
-	if !woke.Wait(context.Background()) {
-		t.Fatal("WaitAny never woke")
+	keyFor := func(p int) []byte {
+		for i := 0; ; i++ {
+			if k := []byte(fmt.Sprintf("k%d", i)); partitionOf(k, 2) == p {
+				return k
+			}
+		}
 	}
-	if !wokeAt.Equal(m.Published) {
-		t.Errorf("WaitAny woke at %v, want the publish instant %v (no charge)", wokeAt, m.Published)
+	k0, k1 := keyFor(0), keyFor(1)
+	ctx := context.Background()
+	// Fill partition 1 exactly to its 10-byte bound; nothing commits.
+	if _, err := b.Publish(ctx, "t", k1, make([]byte, 10-len(k1))); err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancelNow := context.WithCancel(ctx)
+	cancelNow()
+	out, err := b.PublishBatch(canceled, "t", [][2][]byte{{k0, []byte("a")}, {k1, []byte("b")}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(out) != 1 {
+		t.Fatalf("partial batch returned %d messages, want 1 (the appended prefix): %+v", len(out), out)
+	}
+	if m := out[0]; m.Topic != "t" || m.Partition != 0 || m.Offset != 0 || string(m.Value) != "a" {
+		t.Fatalf("returned message %+v, want t[0]@0 value \"a\"", m)
+	}
+	if end, _ := b.EndOffset("t", 0); end != 1 {
+		t.Fatalf("partition 0 end = %d, want 1 (the returned message is in the log)", end)
+	}
+	if end, _ := b.EndOffset("t", 1); end != 1 {
+		t.Fatalf("partition 1 end = %d, want 1 (the canceled sub-batch never landed)", end)
 	}
 }
 
@@ -607,7 +625,7 @@ func benchDataPlane(b *testing.B, naive bool) {
 	for i := 0; i < b.N; i++ {
 		clock := vclock.NewVirtual(vclock.Epoch)
 		clock.Adopt()
-		br := NewBroker(BrokerConfig{AppendCost: 10 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock})
+		br := single(ClusterConfig{AppendCost: 10 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock})
 		br.CreateTopic("t", 4)
 		const n = 100_000
 		payload := make([]byte, 64)
@@ -673,7 +691,7 @@ func pureHandlerRun(t *testing.T) string {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{
+	b := single(ClusterConfig{
 		Name: "b", AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock,
 	})
 	defer b.Close()

@@ -120,7 +120,7 @@ func TestRecorderMark(t *testing.T) {
 	if c.RecorderState().Hash == noMark {
 		t.Fatal("mark did not perturb the hash chain")
 	}
-	Mark(NewManual(Epoch), "ignored", 0) // non-virtual: no-op
+	Mark(NewReal(), "ignored", 0) // non-virtual: no-op
 }
 
 // Recording is off by default and StopRecorder discards state; RecorderState
@@ -144,7 +144,7 @@ func TestRecorderOffByDefault(t *testing.T) {
 	if s := c.RecorderState(); !reflect.DeepEqual(s, RecorderState{}) {
 		t.Fatalf("StopRecorder left state behind: %+v", s)
 	}
-	if Recording(c) || Recording(NewManual(Epoch)) {
+	if Recording(c) || Recording(NewReal()) {
 		t.Fatal("Recording() true after StopRecorder or on a non-virtual clock")
 	}
 }

@@ -5,12 +5,11 @@
 //
 // All *modeled* latencies in the simulated infrastructures (batch queue
 // waits, VM boot times, data transfers, task service times) are expressed in
-// modeled time and slept through a Clock. Four implementations exist:
+// modeled time and slept through a Clock. Three implementations exist:
 //
 //   - Real: modeled time == wall time (for demos running live).
 //   - Scaled: modeled time divided by a factor before sleeping. A factor of
 //     1000 makes one modeled second cost one wall millisecond.
-//   - Manual: a deterministic test clock advanced explicitly.
 //   - Virtual: a conservative virtual-time executor (virtual.go) that
 //     advances to the earliest sleeper deadline whenever all registered
 //     goroutines are quiescent — modeled sleeps cost zero wall time and
@@ -24,8 +23,6 @@ package vclock
 
 import (
 	"context"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -130,93 +127,7 @@ func (c *Scaled) Sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// Manual is a deterministic Clock for unit tests: time only moves when
-// Advance is called. Goroutines blocked in Sleep are released in timestamp
-// order as the clock passes their deadlines.
-type Manual struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []*manualWaiter
-}
-
-type manualWaiter struct {
-	deadline time.Time
-	ch       chan struct{}
-}
-
-// NewManual creates a manual clock starting at the given time.
-func NewManual(start time.Time) *Manual { return &Manual{now: start} }
-
-// Now implements Clock.
-func (c *Manual) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Since implements Clock.
-func (c *Manual) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-
-// Sleep implements Clock.
-func (c *Manual) Sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	c.mu.Lock()
-	w := &manualWaiter{deadline: c.now.Add(d), ch: make(chan struct{})}
-	c.waiters = append(c.waiters, w)
-	c.mu.Unlock()
-	select {
-	case <-w.ch:
-		return true
-	case <-ctx.Done():
-		c.remove(w)
-		return false
-	}
-}
-
-func (c *Manual) remove(w *manualWaiter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, x := range c.waiters {
-		if x == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// Advance moves the clock forward by d, waking every sleeper whose deadline
-// has passed (in deadline order).
-func (c *Manual) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	var due []*manualWaiter
-	var rest []*manualWaiter
-	for _, w := range c.waiters {
-		if !w.deadline.After(c.now) {
-			due = append(due, w)
-		} else {
-			rest = append(rest, w)
-		}
-	}
-	c.waiters = rest
-	c.mu.Unlock()
-	sort.Slice(due, func(i, j int) bool { return due[i].deadline.Before(due[j].deadline) })
-	for _, w := range due {
-		close(w.ch)
-	}
-}
-
-// PendingSleepers reports how many goroutines are currently blocked in Sleep.
-func (c *Manual) PendingSleepers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
-}
-
 var (
 	_ Clock = Real{}
 	_ Clock = (*Scaled)(nil)
-	_ Clock = (*Manual)(nil)
 )

@@ -2,7 +2,6 @@ package vclock
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 )
@@ -50,86 +49,5 @@ func TestScaledFactorClamped(t *testing.T) {
 	c := NewScaled(0.5)
 	if c.Factor() != 1 {
 		t.Fatalf("Factor = %g, want clamp to 1", c.Factor())
-	}
-}
-
-func TestManualSleepWakesInOrder(t *testing.T) {
-	c := NewManual(time.Unix(0, 0))
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	sleep := func(id int, d time.Duration) {
-		defer wg.Done()
-		c.Sleep(context.Background(), d)
-		mu.Lock()
-		order = append(order, id)
-		mu.Unlock()
-	}
-	wg.Add(2)
-	go sleep(1, 10*time.Second)
-	go sleep(2, 5*time.Second)
-	// Wait until both goroutines are blocked.
-	for c.PendingSleepers() != 2 {
-		time.Sleep(time.Millisecond)
-	}
-	c.Advance(20 * time.Second)
-	wg.Wait()
-	if len(order) != 2 {
-		t.Fatalf("order = %v", order)
-	}
-	if c.PendingSleepers() != 0 {
-		t.Fatalf("PendingSleepers = %d, want 0", c.PendingSleepers())
-	}
-}
-
-func TestManualPartialAdvance(t *testing.T) {
-	c := NewManual(time.Unix(0, 0))
-	done := make(chan bool, 1)
-	go func() {
-		done <- c.Sleep(context.Background(), 10*time.Second)
-	}()
-	for c.PendingSleepers() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	c.Advance(5 * time.Second)
-	select {
-	case <-done:
-		t.Fatal("sleeper woke before deadline")
-	case <-time.After(10 * time.Millisecond):
-	}
-	c.Advance(5 * time.Second)
-	if !<-done {
-		t.Fatal("sleeper should complete")
-	}
-}
-
-func TestManualSleepCancel(t *testing.T) {
-	c := NewManual(time.Unix(0, 0))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan bool, 1)
-	go func() {
-		done <- c.Sleep(ctx, time.Hour)
-	}()
-	for c.PendingSleepers() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if <-done {
-		t.Fatal("canceled sleep returned true")
-	}
-	if c.PendingSleepers() != 0 {
-		t.Fatalf("canceled waiter not removed: %d", c.PendingSleepers())
-	}
-}
-
-func TestManualNowAndSince(t *testing.T) {
-	start := time.Unix(100, 0)
-	c := NewManual(start)
-	if !c.Now().Equal(start) {
-		t.Fatal("Now != start")
-	}
-	c.Advance(30 * time.Second)
-	if got := c.Since(start); got != 30*time.Second {
-		t.Fatalf("Since = %v, want 30s", got)
 	}
 }
