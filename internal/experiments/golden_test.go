@@ -14,10 +14,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // TestStandaloneExhibitsGolden pins the modeled tables of the exhibits
 // that run the streaming plane standalone — E1 (Table1), E7 (Streaming,
 // 1500 frames) and E7b (ServerlessStreaming, 1000 frames), the sizes
-// cmd/experiments uses — to testdata/*.golden. The same-seed tests only
+// cmd/experiments uses — and of E9 (LateBinding, whose model columns
+// come from perfmodel) to testdata/*.golden. The same-seed tests only
 // compare two runs with each other; this one catches any change to the
-// values themselves, so a refactor of the data plane must leave every
-// modeled throughput and latency cell where it was. Regenerate with
+// values themselves, so a refactor of the data plane or of the models
+// must leave every modeled cell where it was. Regenerate with
 // `go test ./internal/experiments -run Golden -update` only for an
 // intended change of the model.
 func TestStandaloneExhibitsGolden(t *testing.T) {
@@ -31,6 +32,7 @@ func TestStandaloneExhibitsGolden(t *testing.T) {
 		{"e1_table1.golden", func() (*metrics.Table, error) { return Table1(detScale) }},
 		{"e7_streaming.golden", func() (*metrics.Table, error) { return Streaming(detScale, 1500) }},
 		{"e7b_serverless.golden", func() (*metrics.Table, error) { return ServerlessStreaming(detScale, 1000) }},
+		{"e9_latebinding.golden", func() (*metrics.Table, error) { return LateBinding(detScale) }},
 	}
 	for _, ex := range exhibits {
 		ex := ex

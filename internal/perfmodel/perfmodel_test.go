@@ -139,6 +139,17 @@ func TestDirectSubmissionSimEdges(t *testing.T) {
 	}
 }
 
+func TestDirectSubmissionSimNegativeWaitPanics(t *testing.T) {
+	// A negative queue wait would start a job before it was submitted:
+	// always a modelling bug, so the model refuses it.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative queue wait did not panic")
+		}
+	}()
+	DirectSubmissionSim(4, 2, time.Minute, dist.NewNormal(-600, 1, 1))
+}
+
 func TestMaxOfNQuantileGrowsWithN(t *testing.T) {
 	d1 := dist.NewLogNormal(100, 1.0, 7)
 	d2 := dist.NewLogNormal(100, 1.0, 7)
