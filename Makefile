@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare profile seed-audit doc-audit chaos test-federation ci
+.PHONY: build test race vet loc bench bench-compare profile seed-audit doc-audit chaos test-federation ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,14 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Lines of Go in the tracked files of the root module (perfbench/ is its
+# own module), non-test and test code counted apart: the LoC figure that
+# ROADMAP.md and every change report quote.
+loc:
+	@printf 'non-test %s\ntest %s\n' \
+		"$$(git ls-files '*.go' ':!:perfbench' | grep -v '_test\.go$$' | xargs cat | wc -l)" \
+		"$$(git ls-files '*.go' ':!:perfbench' | grep '_test\.go$$' | xargs cat | wc -l)"
 
 # One iteration per exhibit: checks the benchmarks run end to end and
 # prints the per-exhibit wall times and allocations (compare against

@@ -16,7 +16,7 @@ import (
 // LateBinding reproduces the pilot-abstraction's headline comparison (E9,
 // §IV.A): running N tasks as individual batch jobs (each paying its own
 // queue wait) versus one pilot that pays a single queue wait and
-// late-binds tasks onto it. DES-model predictions accompany both
+// late-binds tasks onto it. Model predictions (perfmodel) accompany both
 // measurements. Shape: direct submission's makespan is governed by the
 // *maximum* of N queue waits, the pilot's by one wait plus packed
 // execution; the pilot wins increasingly with N.

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement substrate used throughout gopilot:
-// summary statistics, online accumulators, duration samples, histograms and
-// simple table/CSV emitters. The paper's evaluation methodology (Section V,
+// summary statistics, duration samples, sample series and simple table/CSV
+// emitters. The paper's evaluation methodology (Section V,
 // "Performance Characterization") relies on runtime, throughput and latency
 // distributions; this package is the common vocabulary for all experiments.
 package metrics
@@ -111,86 +111,6 @@ func Std(xs []float64) float64 {
 	}
 	return math.Sqrt(sq / float64(len(xs)-1))
 }
-
-// Accumulator is an online (single-pass, Welford) mean/variance accumulator.
-// The zero value is ready to use. It is not safe for concurrent use; wrap it
-// in a mutex or use one per goroutine and merge.
-type Accumulator struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-	sum  float64
-}
-
-// Add incorporates x into the accumulator.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	a.sum += x
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// Merge folds the state of b into a, as if every observation added to b had
-// been added to a (Chan et al. parallel variance combination).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	mean := a.mean + delta*float64(b.n)/float64(n)
-	m2 := a.m2 + b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n, a.mean, a.m2, a.sum = n, mean, m2, a.sum+b.sum
-}
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean, or 0 before any observation.
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Sum returns the running sum.
-func (a *Accumulator) Sum() float64 { return a.sum }
-
-// Min returns the smallest observation, or 0 before any observation.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation, or 0 before any observation.
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Variance returns the Bessel-corrected sample variance.
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (a *Accumulator) Std() float64 { return math.Sqrt(a.Variance()) }
 
 // Durations converts a slice of time.Duration into seconds for use with the
 // float64-based statistics helpers.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -61,65 +60,6 @@ func TestQuantilePanicsOnEmpty(t *testing.T) {
 	Quantile(nil, 0.5)
 }
 
-func TestAccumulatorMatchesBatch(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	var a Accumulator
-	for _, x := range xs {
-		a.Add(x)
-	}
-	s := Summarize(xs)
-	if a.N() != s.N {
-		t.Fatalf("N = %d, want %d", a.N(), s.N)
-	}
-	if !almostEqual(a.Mean(), s.Mean, 1e-12) {
-		t.Errorf("Mean = %g, want %g", a.Mean(), s.Mean)
-	}
-	if !almostEqual(a.Std(), s.Std, 1e-12) {
-		t.Errorf("Std = %g, want %g", a.Std(), s.Std)
-	}
-	if a.Min() != s.Min || a.Max() != s.Max {
-		t.Errorf("Min/Max = %g/%g, want %g/%g", a.Min(), a.Max(), s.Min, s.Max)
-	}
-}
-
-// Property: merging two accumulators equals accumulating the concatenation.
-func TestAccumulatorMergeProperty(t *testing.T) {
-	f := func(xs, ys []float64) bool {
-		clean := func(in []float64) []float64 {
-			out := make([]float64, 0, len(in))
-			for _, x := range in {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		xs, ys = clean(xs), clean(ys)
-		var a, b, all Accumulator
-		for _, x := range xs {
-			a.Add(x)
-			all.Add(x)
-		}
-		for _, y := range ys {
-			b.Add(y)
-			all.Add(y)
-		}
-		a.Merge(&b)
-		if a.N() != all.N() {
-			return false
-		}
-		if a.N() == 0 {
-			return true
-		}
-		scale := math.Max(1, math.Abs(all.Mean()))
-		return almostEqual(a.Mean(), all.Mean(), 1e-9*scale) &&
-			almostEqual(a.Variance(), all.Variance(), 1e-6*math.Max(1, all.Variance()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSpeedupAndEfficiency(t *testing.T) {
 	t1 := 100 * time.Second
 	t4 := 25 * time.Second
@@ -160,34 +100,6 @@ func TestFormatDuration(t *testing.T) {
 			t.Errorf("FormatDuration(%v) = %q, want %q", c.d, got, c.want)
 		}
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i%10) + 0.5)
-	}
-	h.Observe(-1)
-	h.Observe(11)
-	if h.Count() != 102 {
-		t.Fatalf("Count = %d, want 102", h.Count())
-	}
-	if h.Bucket(0) != 10 {
-		t.Errorf("Bucket(0) = %d, want 10", h.Bucket(0))
-	}
-	out := h.String()
-	if !strings.Contains(out, "underflow 1") || !strings.Contains(out, "overflow 1") {
-		t.Errorf("String() missing under/overflow:\n%s", out)
-	}
-}
-
-func TestHistogramPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
 }
 
 func TestSeriesConcurrent(t *testing.T) {

@@ -7,11 +7,12 @@
 package perfmodel
 
 import (
-	"math"
+	"fmt"
+	"slices"
 	"time"
 
 	"gopilot/internal/dist"
-	"gopilot/internal/sim"
+	"gopilot/internal/metrics"
 )
 
 // PilotMakespan predicts the modeled makespan of a bag of n identical
@@ -121,49 +122,41 @@ func (m RexModel) Efficiency(cycles int) float64 {
 	return useful / (float64(m.PilotCores) * total.Seconds())
 }
 
-// DirectSubmissionSim predicts, via discrete-event simulation, the
-// makespan of running n tasks as *individual batch jobs*: every job pays
-// its own sampled queue wait, and at most `slots` jobs run concurrently
-// (the user's fair-share allocation). This is the no-pilot baseline of the
+// DirectSubmissionSim predicts the makespan of running n tasks as
+// *individual batch jobs*: every job pays its own sampled queue wait, and
+// at most `slots` jobs run concurrently (the user's fair-share allocation;
+// slots <= 0 means unbounded). This is the no-pilot baseline of the
 // late-binding experiment E9. The qwait distribution must be seeded for
 // reproducibility.
+//
+// Jobs start first-come first-served and all run for t, so they finish
+// in start order and job i (in eligibility order) takes the slot job
+// i−slots frees:
+//
+//	start_i = max(eligible_i, start_{i−slots} + t),  T = start_{n−1} + t
+//
+// A negative sampled wait panics: it is always a modelling bug. A
+// negative t counts as zero.
 func DirectSubmissionSim(n, slots int, t time.Duration, qwait dist.Dist) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	if slots <= 0 {
+	if slots <= 0 || slots > n {
 		slots = n
 	}
-	eng := sim.NewEngine()
-	free := slots
-	var queue []time.Duration // eligibility times of waiting jobs
-	var makespan time.Duration
-
-	var tryStart func(e *sim.Engine)
-	finish := func(e *sim.Engine) {
-		free++
-		if e.Now() > makespan {
-			makespan = e.Now()
-		}
-		tryStart(e)
-	}
-	tryStart = func(e *sim.Engine) {
-		for free > 0 && len(queue) > 0 && queue[0] <= e.Now() {
-			queue = queue[1:]
-			free--
-			e.After(t, finish)
+	t = max(t, 0)
+	start := make([]time.Duration, n)
+	for i := range start {
+		start[i] = time.Duration(qwait.Sample() * float64(time.Second))
+		if start[i] < 0 {
+			panic(fmt.Sprintf("perfmodel: negative queue wait %v", start[i]))
 		}
 	}
-	for i := 0; i < n; i++ {
-		eligible := time.Duration(qwait.Sample() * float64(time.Second))
-		eng.At(eligible, func(e *sim.Engine) {
-			// Keep the queue sorted by eligibility (arrival order here).
-			queue = append(queue, e.Now())
-			tryStart(e)
-		})
+	slices.Sort(start)
+	for i := slots; i < n; i++ {
+		start[i] = max(start[i], start[i-slots]+t)
 	}
-	eng.Run()
-	return makespan
+	return start[n-1] + t
 }
 
 // PilotSubmissionSim predicts the pilot-based makespan for the same
@@ -176,10 +169,9 @@ func PilotSubmissionSim(n, cores int, t time.Duration, qwait dist.Dist, perTaskO
 
 // CrossoverTasks estimates the smallest task count at which the pilot
 // approach beats direct submission, by sweeping n (geometrically) through
-// both simulators. It returns 0 if the pilot wins even for a single task,
-// and -1 if direct submission wins throughout the sweep limit.
+// both models: the first doubling n where the pilot wins, 0 if that is
+// n = 1, and -1 if direct submission wins throughout the sweep limit.
 func CrossoverTasks(slots, cores int, t time.Duration, mkQwait func() dist.Dist, overhead time.Duration, maxN int) int {
-	prevWinner := 0 // unknown
 	for n := 1; n <= maxN; n *= 2 {
 		direct := DirectSubmissionSim(n, slots, t, mkQwait())
 		pilot := PilotSubmissionSim(n, cores, t, mkQwait(), overhead)
@@ -187,18 +179,8 @@ func CrossoverTasks(slots, cores int, t time.Duration, mkQwait func() dist.Dist,
 			if n == 1 {
 				return 0
 			}
-			if prevWinner == 1 {
-				return n
-			}
+			return n
 		}
-		if pilot < direct {
-			prevWinner = 2
-		} else {
-			prevWinner = 1
-		}
-	}
-	if prevWinner == 2 {
-		return 0
 	}
 	return -1
 }
@@ -221,25 +203,6 @@ func MaxOfNQuantile(d dist.Dist, n int, q float64, draws int) float64 {
 		}
 		xs[i] = m
 	}
-	// Sort-free quantile via counting would be overkill; reuse math.
-	return quantile(xs, q)
-}
-
-func quantile(xs []float64, q float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ { // insertion sort: draws are small
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	slices.Sort(xs)
+	return metrics.Quantile(xs, q)
 }

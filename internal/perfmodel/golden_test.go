@@ -47,23 +47,17 @@ func modelGrid() string {
 		t, overhead  time.Duration
 		maxN         int
 		qwait        string
-		mk           func() func() dist.Dist
+		mkQwait      func() dist.Dist
 	}
-	fixed := func(mean, cv float64, seed int64) func() func() dist.Dist {
-		return func() func() dist.Dist {
-			return func() dist.Dist { return dist.NewLogNormal(mean, cv, seed) }
-		}
+	fixed := func(mean, cv float64, seed int64) func() dist.Dist {
+		return func() dist.Dist { return dist.NewLogNormal(mean, cv, seed) }
 	}
-	advancing := func(mean, cv float64, from int64) func() func() dist.Dist {
-		return func() func() dist.Dist {
-			seed := from
-			return func() dist.Dist { seed++; return dist.NewLogNormal(mean, cv, seed) }
-		}
+	advancing := func(mean, cv float64, from int64) func() dist.Dist {
+		seed := from
+		return func() dist.Dist { seed++; return dist.NewLogNormal(mean, cv, seed) }
 	}
-	constant := func(v float64) func() func() dist.Dist {
-		return func() func() dist.Dist {
-			return func() dist.Dist { return dist.Constant(v) }
-		}
+	constant := func(v float64) func() dist.Dist {
+		return func() dist.Dist { return dist.Constant(v) }
 	}
 	cases := []crossCase{
 		{16, 16, time.Minute, time.Second, 1024, "lognormal(600,0.5,11)", fixed(600, 0.5, 11)},
@@ -76,7 +70,7 @@ func modelGrid() string {
 	}
 	for _, c := range cases {
 		fmt.Fprintf(&b, "%d %d %v %v %d %s | %d\n", c.slots, c.cores, c.t, c.overhead, c.maxN, c.qwait,
-			CrossoverTasks(c.slots, c.cores, c.t, c.mk(), c.overhead, c.maxN))
+			CrossoverTasks(c.slots, c.cores, c.t, c.mkQwait, c.overhead, c.maxN))
 	}
 
 	b.WriteString("# MaxOfNQuantile: n q draws | lognormal(100, 1, 7)\n")

@@ -14,13 +14,13 @@ import (
 // The executor is cooperative and single-runner: at most one registered
 // participant executes at a time, holding an implicit execution token.
 // The token is released when the holder sleeps, parks (Notifier, Event,
-// Group, Sem — see primitives.go), blocks (Block/Unblock) or exits, and is
-// handed to the next runnable participant in FIFO order; when no
-// participant is runnable, time jumps to the earliest sleeper's deadline
-// and that sleeper runs. Ties on deadline wake in Sleep-call order. This
-// serialization makes a same-seed run bit-reproducible: every Now() reads
-// the same modeled instant in every run, and every scheduling decision
-// happens in the same order.
+// Group, Sem — see primitives.go) or exits, and is handed to the next
+// runnable participant in FIFO order; when no participant is runnable,
+// time jumps to the earliest sleeper's deadline and that sleeper runs.
+// Ties on deadline wake in Sleep-call order. This serialization makes a
+// same-seed run bit-reproducible: every Now() reads the same modeled
+// instant in every run, and every scheduling decision happens in the same
+// order.
 //
 // Context cancellation is delivered through the scheduler: every Sleep and
 // primitive Wait registers its context, and before the executor advances
@@ -42,10 +42,6 @@ import (
 //     other participants; they park through Sleep or the clock-aware
 //     primitives instead. A bare block holds the token and stalls the
 //     world (a real deadlock, surfaced by the caller's context timeout).
-//   - Block/Unblock is the escape hatch for waiting on *external*
-//     (non-participant) work; between the two calls the goroutine is
-//     invisible to the scheduler, so signals from fellow participants must
-//     not be awaited this way (the world may advance past the signal).
 type Virtual struct {
 	mu         sync.Mutex
 	now        time.Time
@@ -73,7 +69,6 @@ type Virtual struct {
 	parkedHead, parkedTail *parker
 	parkedLen              int
 
-	blocked      int
 	participants int
 	stalls       uint64
 
@@ -305,34 +300,6 @@ func (c *Virtual) Adopt() {
 // releases the execution token.
 func (c *Virtual) Leave() { c.exit() }
 
-// Block marks the calling participant as waiting on something external to
-// the scheduled world and releases the execution token. It must be paired
-// with Unblock. See the participation contract above for when this is
-// (and is not) safe.
-func (c *Virtual) Block() {
-	c.mu.Lock()
-	if !c.hasCurrent {
-		c.mu.Unlock()
-		panic("vclock: Block on Virtual clock from an unregistered goroutine")
-	}
-	c.blocked++
-	c.hasCurrent = false
-	c.scheduleLocked()
-	c.mu.Unlock()
-}
-
-// Unblock re-enters the scheduled world after Block, waiting for the
-// execution token.
-func (c *Virtual) Unblock() {
-	r := &parker{g: make(grant, 1)}
-	c.mu.Lock()
-	c.blocked--
-	c.runq = append(c.runq, r)
-	c.scheduleLocked()
-	c.mu.Unlock()
-	<-r.g
-}
-
 // Participants returns the number of registered participant goroutines.
 func (c *Virtual) Participants() int {
 	c.mu.Lock()
@@ -548,8 +515,8 @@ func (c *Virtual) scheduleLocked() {
 	}
 	if c.participants > 0 {
 		// Everyone is parked and no modeled work is pending: the world can
-		// only resume on an external signal (Adopt, Unblock, a primitive
-		// fired from outside, or a context cancellation).
+		// only resume on an external signal (Adopt, a primitive fired
+		// from outside, or a context cancellation).
 		c.stalls++
 	}
 }

@@ -66,7 +66,7 @@ func TestSmokeAllExhibits(t *testing.T) {
 }
 
 // TestSameSeedIdenticalModelOutput is the determinism check for the
-// discrete-event performance models (sim.Engine). The concurrent-runtime
+// seeded performance models in perfmodel. The concurrent-runtime
 // exhibits have the matching — and stronger — end-to-end check in
 // internal/experiments/determinism_test.go, now that they run on the
 // vclock.Virtual executor.
