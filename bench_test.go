@@ -16,15 +16,11 @@ import (
 	"gopilot/internal/experiments"
 )
 
-// benchScale compresses modeled time aggressively: benchmarks check that
-// the experiments run and give the harness stable per-exhibit timings.
-const benchScale = 4000
-
 // BenchmarkTable1_Scenarios regenerates Table I (E1): all five application
 // scenarios through one Pilot-API.
 func BenchmarkTable1_Scenarios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(benchScale); err != nil {
+		if _, err := experiments.Table1(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -34,7 +30,7 @@ func BenchmarkTable1_Scenarios(b *testing.B) {
 // characterization (E2).
 func BenchmarkTable2_PilotOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PilotOverhead(benchScale, 64); err != nil {
+		if _, err := experiments.PilotOverhead(64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +40,7 @@ func BenchmarkTable2_PilotOverhead(b *testing.B) {
 // with the analytical model (E3).
 func BenchmarkTable2_RexScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RexScaling(benchScale); err != nil {
+		if _, err := experiments.RexScaling(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +50,7 @@ func BenchmarkTable2_RexScaling(b *testing.B) {
 // comparison (E4).
 func BenchmarkTable2_PilotData(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PilotData(benchScale); err != nil {
+		if _, err := experiments.PilotData(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +60,7 @@ func BenchmarkTable2_PilotData(b *testing.B) {
 // scaling (E5).
 func BenchmarkTable2_MapReduce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MapReduceScaling(benchScale); err != nil {
+		if _, err := experiments.MapReduceScaling(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +70,7 @@ func BenchmarkTable2_MapReduce(b *testing.B) {
 // memory-vs-disk comparison (E6).
 func BenchmarkTable2_PilotMemory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PilotMemory(benchScale); err != nil {
+		if _, err := experiments.PilotMemory(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +80,7 @@ func BenchmarkTable2_PilotMemory(b *testing.B) {
 // Pilot-Streaming (E7).
 func BenchmarkTable2_Streaming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Streaming(benchScale, 600); err != nil {
+		if _, err := experiments.Streaming(600); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,7 +90,7 @@ func BenchmarkTable2_Streaming(b *testing.B) {
 // processing comparison (E7b, [73]).
 func BenchmarkTable2_Serverless(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ServerlessStreaming(benchScale, 400); err != nil {
+		if _, err := experiments.ServerlessStreaming(400); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,7 +100,7 @@ func BenchmarkTable2_Serverless(b *testing.B) {
 // model fit + holdout validation (E8).
 func BenchmarkTable2_ThroughputModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.ThroughputModel(benchScale, 400); err != nil {
+		if _, _, err := experiments.ThroughputModel(400); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +113,7 @@ func BenchmarkTable2_ThroughputModel(b *testing.B) {
 // see BENCH_baseline.json's allocs_per_op gate.
 func BenchmarkStreaming_Million(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MillionMessages(benchScale, 1_000_000); err != nil {
+		if _, err := experiments.MillionMessages(1_000_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +144,7 @@ func BenchmarkStreaming_TenMillion(b *testing.B) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if _, err := experiments.MillionMessages(benchScale, msgs); err != nil {
+		if _, err := experiments.MillionMessages(msgs); err != nil {
 			b.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -164,7 +160,7 @@ func BenchmarkStreaming_TenMillion(b *testing.B) {
 // BenchmarkLateBinding regenerates the direct-vs-pilot comparison (E9).
 func BenchmarkLateBinding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.LateBinding(benchScale); err != nil {
+		if _, err := experiments.LateBinding(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -174,7 +170,7 @@ func BenchmarkLateBinding(b *testing.B) {
 // (E9b, R3 dynamism).
 func BenchmarkDynamicScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DynamicScaling(benchScale); err != nil {
+		if _, err := experiments.DynamicScaling(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -184,7 +180,7 @@ func BenchmarkDynamicScaling(b *testing.B) {
 // (E10, Figure 5).
 func BenchmarkFig5_Loop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Fig5Loop(benchScale, 300); err != nil {
+		if _, _, err := experiments.Fig5Loop(300); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,7 +190,7 @@ func BenchmarkFig5_Loop(b *testing.B) {
 // ablation (E11).
 func BenchmarkAblation_Algorithm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationAlgorithm(benchScale); err != nil {
+		if _, err := experiments.AblationAlgorithm(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -203,7 +199,7 @@ func BenchmarkAblation_Algorithm(b *testing.B) {
 // BenchmarkEnKF_Adaptive regenerates the adaptive EnKF study (E12).
 func BenchmarkEnKF_Adaptive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.EnKFAdaptive(benchScale); err != nil {
+		if _, err := experiments.EnKFAdaptive(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,11 +4,12 @@
 //
 // Usage:
 //
-//	pilot [-backend hpc|htc|cloud|local] [-tasks N] [-cores N]
-//	      [-task-seconds S] [-task-cv CV] [-queue-seconds S] [-scale F]
+//	pilot [-backend local|hpc|htc|cloud|yarn] [-tasks N] [-cores N]
+//	      [-task-seconds S] [-task-cv CV] [-queue-seconds S] [-seed N]
 //
 // The tool prints the pilot's startup time, per-task statistics and the
-// workload makespan in modeled time.
+// workload makespan in modeled time. It runs on the virtual-time
+// executor, so the whole output is bit-identical for a given seed.
 package main
 
 import (
@@ -32,17 +33,8 @@ func main() {
 	taskSeconds := flag.Float64("task-seconds", 30, "mean task service time (modeled seconds)")
 	taskCV := flag.Float64("task-cv", 0.2, "task time coefficient of variation")
 	queueSeconds := flag.Float64("queue-seconds", 120, "mean batch queue wait (modeled seconds)")
-	clockMode := flag.String("clock", "virtual", "clock mode: virtual (zero-wall-time, deterministic), scaled or real")
-	scale := flag.Float64("scale", experiments.DefaultScale, "virtual time compression factor (scaled clock only)")
 	seed := flag.Int64("seed", 42, "workload seed")
 	flag.Parse()
-
-	mode, err := experiments.ParseClockMode(*clockMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	experiments.DefaultClockMode = mode
 
 	urls := map[string]string{
 		"local": "local://localhost",
@@ -57,9 +49,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	tb := experiments.NewTestbed(experiments.TestbedConfig{
-		Scale: *scale, QueueWaitMean: *queueSeconds, Seed: *seed,
-	})
+	tb := experiments.NewTestbed(experiments.TestbedConfig{QueueWaitMean: *queueSeconds, Seed: *seed})
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 

@@ -16,10 +16,11 @@ import (
 	"gopilot/internal/core"
 	"gopilot/internal/experiments"
 	"gopilot/internal/metrics"
+	"gopilot/internal/vclock"
 )
 
 func main() {
-	tb := experiments.NewTestbed(experiments.TestbedConfig{Mode: experiments.ClockScaled, Scale: 1000, QueueWaitMean: 30, Seed: 9})
+	tb := experiments.NewTestbed(experiments.TestbedConfig{QueueWaitMean: 30, Seed: 9})
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -50,12 +51,13 @@ func main() {
 	}
 
 	// Application-level autonomic policy: if the queue is still deep once
-	// the HPC pilot is up, burst to the cloud.
-	burst := make(chan *core.Pilot, 1)
-	go func() {
-		defer close(burst)
-		for {
-			time.Sleep(5 * time.Millisecond) // poll (wall time)
+	// the HPC pilot is up, burst to the cloud. The monitor polls every 5
+	// modeled seconds.
+	var cloudPilot *core.Pilot
+	polled := vclock.NewEvent(tb.Clock)
+	tb.Go(func() {
+		defer polled.Fire()
+		for tb.Clock.Sleep(ctx, 5*time.Second) {
 			if mgr.QueueDepth() > 16 && hpcPilot.State() == core.PilotRunning {
 				fmt.Printf("[autonomic] queue depth %d with 8 HPC cores — bursting to cloud\n", mgr.QueueDepth())
 				p, err := mgr.SubmitPilot(core.PilotDescription{
@@ -66,19 +68,19 @@ func main() {
 					log.Printf("burst failed: %v", err)
 					return
 				}
-				burst <- p
+				cloudPilot = p
 				return
 			}
 			if mgr.QueueDepth() == 0 {
 				return
 			}
 		}
-	}()
+	})
 
 	if err := mgr.WaitAll(ctx); err != nil {
 		log.Fatal(err)
 	}
-	cloudPilot := <-burst
+	polled.Wait(ctx)
 	makespan := tb.Clock.Now().Sub(start)
 
 	t := metrics.NewTable("dynamic scaling summary", "metric", "value")

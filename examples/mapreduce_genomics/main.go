@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	tb := experiments.NewTestbed(experiments.TestbedConfig{Mode: experiments.ClockScaled, Scale: 1000, QueueWaitMean: 30, Seed: 3})
+	tb := experiments.NewTestbed(experiments.TestbedConfig{QueueWaitMean: 30, Seed: 3})
 	defer tb.Close()
 	mgr := tb.NewManager(scheduler.DataAware{})
 

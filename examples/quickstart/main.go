@@ -23,8 +23,11 @@ import (
 )
 
 func main() {
-	// One modeled second costs one wall millisecond.
-	clock := vclock.NewScaled(1000)
+	// The virtual-time executor: modeled sleeps cost no wall time. The
+	// main goroutine joins it as a participant until the program ends.
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
 
 	// One root seed; every component below gets a named sub-stream.
 	root := dist.NewStream(1)

@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	tb := experiments.NewTestbed(experiments.TestbedConfig{Mode: experiments.ClockScaled, Scale: 1000, QueueWaitMean: 10, Seed: 5})
+	tb := experiments.NewTestbed(experiments.TestbedConfig{QueueWaitMean: 10, Seed: 5})
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 

@@ -13,7 +13,9 @@ import (
 
 func newMgr(t *testing.T, cores int) *core.Manager {
 	t.Helper()
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	t.Cleanup(clock.Leave)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", cores, clock))
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock})

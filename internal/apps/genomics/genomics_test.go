@@ -108,7 +108,9 @@ func TestChunk(t *testing.T) {
 }
 
 func TestDistributedAlignment(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	t.Cleanup(clock.Leave)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("siteA", 8, clock))
 	ds := data.NewService(data.Config{Clock: clock})
@@ -143,7 +145,9 @@ func TestDistributedAlignment(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	t.Cleanup(clock.Leave)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("siteA", 2, clock))
 	mgrNoData := core.NewManager(core.Config{Registry: reg, Clock: clock})

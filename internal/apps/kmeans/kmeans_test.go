@@ -142,18 +142,16 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 }
 
 type testEnv struct {
-	clock *vclock.Scaled
+	clock *vclock.Virtual
 	mgr   *core.Manager
 	ds    *data.Service
 }
 
-func newEnv(t *testing.T) *testEnv { return newEnvScale(t, 2000) }
-
-// newEnvScale lets timing-sensitive tests pick a lower compression factor
-// so modeled costs dominate wall-clock scheduling noise.
-func newEnvScale(t *testing.T, factor float64) *testEnv {
+func newEnv(t *testing.T) *testEnv {
 	t.Helper()
-	clock := vclock.NewScaled(factor)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	t.Cleanup(clock.Leave)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("siteA", 16, clock))
 	ds := data.NewService(data.Config{Clock: clock, LocalBandwidth: 200e6})
@@ -191,10 +189,9 @@ func TestDistributedMatchesSequential(t *testing.T) {
 }
 
 func TestMemoryModeFasterPerIteration(t *testing.T) {
-	// Low compression and multi-gigabyte modeled partitions: the 10s-class
-	// disk reads dwarf wall-clock scheduling noise (which appears as ~0.5s
-	// of modeled time per wall millisecond at this factor).
-	env := newEnvScale(t, 500)
+	// Multi-gigabyte modeled partitions: 10s-class disk reads per pass,
+	// which the memory mode's cache hits avoid.
+	env := newEnv(t)
 	dataset := Generate(400, 3, 2, 0.5, dist.NewStream(33))
 	base := Config{K: 3, MaxIter: 5, Tol: 0, Partitions: 4, BytesPerPoint: 1 << 24, Stream: dist.NewStream(9)}
 

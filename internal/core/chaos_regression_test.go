@@ -15,7 +15,7 @@ import (
 // the reconcile loop promptly: the loop's sleep runs on the manager
 // context, so cancellation wakes it at the current instant instead of
 // letting the virtual clock jump to the end of the period (or leaking
-// the goroutine past Close on real clocks).
+// the goroutine past Close).
 func TestCloseInterruptsParkedReconcileScan(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()

@@ -15,11 +15,18 @@ import (
 	"gopilot/internal/vclock"
 )
 
-func fastClock() *vclock.Scaled { return vclock.NewScaled(2000) }
+// fastClock returns a virtual clock with the test goroutine adopted as a
+// participant until the test ends.
+func fastClock(t *testing.T) *vclock.Virtual {
+	v := vclock.NewVirtual(vclock.Epoch)
+	v.Adopt()
+	t.Cleanup(v.Leave)
+	return v
+}
 
 // testEnv builds a manager over a local service and an HPC simulator.
 type testEnv struct {
-	clock   *vclock.Scaled
+	clock   *vclock.Virtual
 	reg     *saga.Registry
 	cluster *hpc.Cluster
 	mgr     *Manager
@@ -27,7 +34,7 @@ type testEnv struct {
 
 func newEnv(t *testing.T, cfg Config, hpcCfg hpc.Config) *testEnv {
 	t.Helper()
-	clock := fastClock()
+	clock := fastClock(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 64, clock))
 	hpcCfg.Clock = clock
@@ -128,10 +135,14 @@ func TestWaitAllHonorsContext(t *testing.T) {
 	env := newEnv(t, Config{}, hpc.Config{})
 	// No pilot: the unit can never run.
 	env.mgr.SubmitUnit(quickUnit("stuck", time.Second))
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := env.mgr.WaitAll(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	env.clock.Go(func() {
+		env.clock.Sleep(context.Background(), time.Minute)
+		cancel()
+	})
+	if err := env.mgr.WaitAll(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want Canceled", err)
 	}
 }
 
@@ -172,7 +183,7 @@ func TestUnitTooLargeForAnyPilotStaysPending(t *testing.T) {
 	env := newEnv(t, Config{}, hpc.Config{})
 	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 2})
 	u, _ := env.mgr.SubmitUnit(UnitDescription{Cores: 8, Run: func(ctx context.Context, tc TaskContext) error { return nil }})
-	time.Sleep(50 * time.Millisecond)
+	env.clock.Sleep(context.Background(), time.Minute)
 	if s := u.State(); s != UnitPending {
 		t.Fatalf("state = %v, want Pending (no pilot large enough)", s)
 	}
@@ -205,13 +216,13 @@ func TestCancelPendingUnit(t *testing.T) {
 func TestCancelRunningUnit(t *testing.T) {
 	env := newEnv(t, Config{}, hpc.Config{})
 	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 2})
-	started := make(chan struct{})
+	started := vclock.NewEvent(env.clock)
 	u, _ := env.mgr.SubmitUnit(UnitDescription{Run: func(ctx context.Context, tc TaskContext) error {
-		close(started)
-		<-ctx.Done()
+		started.Fire()
+		tc.Sleep(ctx, 24*time.Hour)
 		return ctx.Err()
 	}})
-	<-started
+	started.Wait(context.Background())
 	env.mgr.CancelUnit(u)
 	state, _ := u.Wait(context.Background())
 	if state != UnitCanceled {
@@ -224,14 +235,14 @@ func TestPilotWalltimeRequeuesUnits(t *testing.T) {
 	// Short-walltime pilot dies mid-unit; a second healthy pilot picks the
 	// unit up again (MaxRetries=2).
 	env.mgr.SubmitPilot(PilotDescription{Resource: "hpc://hpcA", Cores: 4, Walltime: 5 * time.Second})
-	started := make(chan struct{})
+	started := vclock.NewEvent(env.clock)
 	var attempts atomic.Int32
 	u, _ := env.mgr.SubmitUnit(UnitDescription{
 		MaxRetries: 2,
 		Run: func(ctx context.Context, tc TaskContext) error {
 			n := attempts.Add(1)
 			if n == 1 {
-				close(started)
+				started.Fire()
 				// First attempt outlives the pilot walltime.
 				tc.Sleep(ctx, time.Hour)
 				return ctx.Err()
@@ -242,15 +253,13 @@ func TestPilotWalltimeRequeuesUnits(t *testing.T) {
 	// The healthy pilot must not exist until the first attempt is running
 	// on the doomed one — otherwise the scheduler can start the unit
 	// directly on it, no walltime kill happens, and the unit completes in
-	// one attempt (seen under -race load).
-	select {
-	case <-started:
-	case <-time.After(10 * time.Second):
-		t.Skip("first attempt never started inside the short walltime (overloaded host)")
-	}
-	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 4})
+	// one attempt.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	if !started.Wait(ctx) {
+		t.Fatal("first attempt never started inside the short walltime")
+	}
+	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 4})
 	state, err := u.Wait(ctx)
 	if state != UnitDone {
 		t.Fatalf("state=%v err=%v, want Done after retry", state, err)

@@ -19,7 +19,9 @@ import (
 // robustness the paper's §VI lessons demand.
 
 func TestPilotOnEvictingHTCPoolFailsButUnitsRetryElsewhere(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
 	reg := saga.NewRegistry()
 	// An HTC pool that always evicts mid-run and has no retry budget: any
 	// pilot placed there will be lost while units are executing.
@@ -81,7 +83,9 @@ func TestPilotOnEvictingHTCPoolFailsButUnitsRetryElsewhere(t *testing.T) {
 }
 
 func TestTwoManagersShareOneBackend(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("shared", 64, clock))
 
@@ -114,7 +118,9 @@ func TestTwoManagersShareOneBackend(t *testing.T) {
 }
 
 func TestUnitWithInputDataButNoDataServiceRuns(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 4, clock))
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock}) // no Data
@@ -135,7 +141,9 @@ func TestUnitWithInputDataButNoDataServiceRuns(t *testing.T) {
 }
 
 func TestStageInFailureFailsUnit(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 4, clock))
 	ds := data.NewService(data.Config{Clock: clock})
@@ -155,36 +163,35 @@ func TestStageInFailureFailsUnit(t *testing.T) {
 }
 
 func TestCancelDuringStaging(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("siteX", 4, clock))
 	// Glacial WAN so staging takes long enough to cancel into.
 	ds := data.NewService(data.Config{Clock: clock, DefaultLink: data.Link{Bandwidth: 1e3, Latency: 0}})
 	ds.AddSite("siteX")
 	ds.Put(context.Background(), data.Unit{ID: "big", LogicalSize: 1e9, Site: "elsewhere"})
-	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Data: ds})
+	staging := vclock.NewEvent(clock)
+	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Data: ds,
+		OnUnitChange: func(_ *core.ComputeUnit, s core.UnitState) {
+			if s == core.UnitStaging {
+				staging.Fire()
+			}
+		}})
 	defer mgr.Close()
 	mgr.SubmitPilot(core.PilotDescription{Resource: "local://siteX", Cores: 2})
 
-	staging := make(chan struct{}, 1)
 	u, _ := mgr.SubmitUnit(core.UnitDescription{
 		InputData: []string{"big"},
 		Run:       func(context.Context, core.TaskContext) error { return nil },
 	})
-	go func() {
-		for u.State() != core.UnitStaging {
-			time.Sleep(time.Millisecond)
-		}
-		staging <- struct{}{}
-	}()
-	select {
-	case <-staging:
-	case <-time.After(5 * time.Second):
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if !staging.Wait(ctx) {
 		t.Fatal("unit never entered Staging")
 	}
 	mgr.CancelUnit(u)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	state, _ := u.Wait(ctx)
 	if state != core.UnitCanceled {
 		t.Fatalf("state = %v, want Canceled during staging", state)
@@ -192,7 +199,9 @@ func TestCancelDuringStaging(t *testing.T) {
 }
 
 func TestManyUnitsManyRetriesDrainDeterministically(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 16, clock))
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock})

@@ -46,7 +46,7 @@ func (firstFit) SelectPilot(cu *ComputeUnit, candidates []*Pilot, _ DataService)
 type Config struct {
 	// Registry resolves pilot resource URLs to saga services.
 	Registry *saga.Registry
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies modeled time (required; a *vclock.Virtual).
 	Clock vclock.Clock
 	// Scheduler is the late-binding policy; defaults to first-fit FIFO.
 	Scheduler Scheduler
@@ -121,9 +121,6 @@ var ErrManagerClosed = errors.New("core: manager closed")
 func NewManager(cfg Config) *Manager {
 	if cfg.Registry == nil {
 		cfg.Registry = saga.NewRegistry()
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewReal()
 	}
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = firstFit{}

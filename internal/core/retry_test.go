@@ -142,16 +142,14 @@ func (j *deadJob) EndTime() time.Time {
 	return j.ended
 }
 
-// waitUnitState polls (in real time, against a scaled clock) until the
-// unit reaches the wanted state.
-func waitUnitState(t *testing.T, u *core.ComputeUnit, want core.UnitState, timeout time.Duration) {
+// waitUnitState polls in modeled time until the unit reaches the wanted
+// state, failing the test once the modeled timeout has passed.
+func waitUnitState(t *testing.T, clock vclock.Clock, u *core.ComputeUnit, want core.UnitState, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	for start := clock.Now(); clock.Since(start) < timeout; clock.Sleep(context.Background(), time.Millisecond) {
 		if u.State() == want {
 			return
 		}
-		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("unit %s stuck in %v, want %v", u.ID(), u.State(), want)
 }
@@ -162,7 +160,9 @@ func waitUnitState(t *testing.T, u *core.ComputeUnit, want core.UnitState, timeo
 // stranding instead of being requeued forever. (Before the planner,
 // pre-start requeues were free: this test never terminated.)
 func TestPreStartStrandsChargeRetryBudget(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
 	reg := saga.NewRegistry()
 	svc := &deadService{clock: clock}
 	reg.Register(svc)
@@ -195,7 +195,7 @@ func TestPreStartStrandsChargeRetryBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The unit binds to the (already dead) pilot…
-		waitUnitState(t, u, core.UnitScheduled, 10*time.Second)
+		waitUnitState(t, clock, u, core.UnitScheduled, 10*time.Second)
 		// …and is stranded when the placeholder job fails.
 		svc.failPilot(round)
 		if s, _ := p.Wait(ctx); s != core.PilotFailed {
@@ -229,7 +229,9 @@ func TestMaxRetriesBoundsTotalAttempts(t *testing.T) {
 		{"two-retries-three-attempts", 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clock := vclock.NewScaled(4000)
+			clock := vclock.NewVirtual(vclock.Epoch)
+			clock.Adopt()
+			defer clock.Leave()
 			reg := saga.NewRegistry()
 			reg.Register(saga.NewLocalService("box", 8, clock))
 			mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Stream: dist.NewStream(11)})

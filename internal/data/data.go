@@ -49,7 +49,7 @@ type Link struct {
 
 // Config configures a Service.
 type Config struct {
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies modeled time (required; a *vclock.Virtual).
 	Clock vclock.Clock
 	// LocalBandwidth is the within-site read/write bandwidth (default
 	// 500 MB/s — parallel filesystem class).
@@ -100,9 +100,6 @@ var ErrUnknownSite = errors.New("data: unknown site")
 
 // NewService creates a Pilot-Data service.
 func NewService(cfg Config) *Service {
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewReal()
-	}
 	if cfg.LocalBandwidth <= 0 {
 		cfg.LocalBandwidth = 500e6
 	}

@@ -10,12 +10,19 @@ import (
 	"gopilot/internal/vclock"
 )
 
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
+// fastClock returns a virtual clock with the test goroutine adopted as a
+// participant until the test ends.
+func fastClock(t *testing.T) *vclock.Virtual {
+	v := vclock.NewVirtual(vclock.Epoch)
+	v.Adopt()
+	t.Cleanup(v.Leave)
+	return v
+}
 
 func newSvc(t *testing.T) *Service {
 	t.Helper()
 	s := NewService(Config{
-		Clock:          fastClock(),
+		Clock:          fastClock(t),
 		LocalBandwidth: 500e6,
 		DefaultLink:    Link{Bandwidth: 12.5e6, Latency: 50 * time.Millisecond},
 	})
@@ -49,7 +56,7 @@ func TestLogicalSizeOverridesContentLength(t *testing.T) {
 }
 
 func TestLocalReadIsCheapRemoteReadPaysTransfer(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := fastClock(t)
 	s := NewService(Config{Clock: clock, LocalBandwidth: 500e6, DefaultLink: Link{Bandwidth: 12.5e6, Latency: 100 * time.Millisecond}})
 	// 125 MB logical: local ≈ 0.25s, remote ≈ 10s + latency.
 	s.Put(context.Background(), Unit{ID: "d", Content: []byte("payload"), LogicalSize: 125e6, Site: "siteA"})
@@ -138,7 +145,7 @@ func TestWriteCreatesUnitAtSite(t *testing.T) {
 }
 
 func TestCustomLinkUsed(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := fastClock(t)
 	s := NewService(Config{Clock: clock, LocalBandwidth: 1e9, DefaultLink: Link{Bandwidth: 1e6, Latency: time.Second}})
 	// Fast dedicated link A→B: 1 GB at 1 GB/s ≈ 1s modeled, versus ≈1000s
 	// over the 1 MB/s default link.
@@ -183,11 +190,14 @@ func TestResetStats(t *testing.T) {
 }
 
 func TestStageInCanceled(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := fastClock(t)
 	s := NewService(Config{Clock: clock, DefaultLink: Link{Bandwidth: 1, Latency: 0}}) // absurdly slow
 	s.Put(context.Background(), Unit{ID: "d", LogicalSize: 1e9, Site: "siteA"})
 	ctx, cancel := context.WithCancel(context.Background())
-	go cancel()
+	clock.Go(func() {
+		clock.Sleep(context.Background(), time.Second)
+		cancel()
+	})
 	if err := s.StageIn(ctx, "d", "siteB"); err == nil {
 		t.Fatal("expected cancellation")
 	}
@@ -197,12 +207,16 @@ func TestStageInCanceled(t *testing.T) {
 }
 
 func TestConcurrentAccessIsSafe(t *testing.T) {
-	s := newSvc(t)
-	done := make(chan struct{})
+	clock := fastClock(t)
+	s := NewService(Config{Clock: clock})
+	s.AddSite("siteA")
+	s.AddSite("siteB")
+	wg := vclock.NewGroup(clock)
 	for g := 0; g < 8; g++ {
 		g := g
-		go func() {
-			defer func() { done <- struct{}{} }()
+		wg.Add(1)
+		clock.Go(func() {
+			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				id := "d" + string(rune('a'+g))
 				s.Put(context.Background(), Unit{ID: id, Content: []byte("x"), Site: "siteA"})
@@ -210,11 +224,9 @@ func TestConcurrentAccessIsSafe(t *testing.T) {
 				s.StageIn(context.Background(), id, "siteB")
 				s.Locate(id)
 			}
-		}()
+		})
 	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
+	wg.Wait()
 }
 
 func TestSiteConstant(t *testing.T) {

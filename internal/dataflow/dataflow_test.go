@@ -15,7 +15,9 @@ import (
 
 func newMgr(t *testing.T) *core.Manager {
 	t.Helper()
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	t.Cleanup(clock.Leave)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 32, clock))
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock})
@@ -24,12 +26,8 @@ func newMgr(t *testing.T) *core.Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.State() != core.PilotRunning {
-		if time.Now().After(deadline) {
-			t.Fatal("pilot never started")
-		}
-		time.Sleep(time.Millisecond)
+	if err := p.WaitRunning(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	return mgr
 }

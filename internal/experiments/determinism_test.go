@@ -8,11 +8,6 @@ import (
 	"gopilot/internal/metrics"
 )
 
-// detScale is passed to exhibits for their Scale parameter; on the virtual
-// clock (the default mode) it is ignored, which is itself part of what
-// this suite verifies: virtual-time results do not depend on compression.
-const detScale = 4000
-
 // renderScrubbed renders a table, dropping the named columns (used for
 // E11's makespan_wall_ms, the one deliberately wall-clock-measured cell).
 func renderScrubbed(t *metrics.Table, drop ...string) string {
@@ -46,38 +41,35 @@ func renderScrubbed(t *metrics.Table, drop ...string) string {
 // makespans, throughputs, latency quantiles, costs: all must match to the
 // last digit.
 func TestSameSeedExhibitsBitIdentical(t *testing.T) {
-	if DefaultClockMode != ClockVirtual {
-		t.Skip("determinism is only guaranteed in virtual clock mode")
-	}
 	type exhibit struct {
 		id   string
 		run  func() (*metrics.Table, []string, error)
 		drop []string
 	}
-	tbl := func(f func(float64) (*metrics.Table, error)) func() (*metrics.Table, []string, error) {
+	tbl := func(f func() (*metrics.Table, error)) func() (*metrics.Table, []string, error) {
 		return func() (*metrics.Table, []string, error) {
-			tb, err := f(detScale)
+			tb, err := f()
 			return tb, nil, err
 		}
 	}
 	exhibits := []exhibit{
 		{id: "E1_Table1", run: tbl(Table1)},
-		{id: "E2_PilotOverhead", run: tbl(func(s float64) (*metrics.Table, error) { return PilotOverhead(s, 32) })},
+		{id: "E2_PilotOverhead", run: tbl(func() (*metrics.Table, error) { return PilotOverhead(32) })},
 		{id: "E3_RexScaling", run: tbl(RexScaling)},
 		{id: "E4_PilotData", run: tbl(PilotData)},
 		{id: "E5_MapReduceScaling", run: tbl(MapReduceScaling)},
 		{id: "E6_PilotMemory", run: tbl(PilotMemory)},
-		{id: "E7_Streaming", run: tbl(func(s float64) (*metrics.Table, error) { return Streaming(s, 200) })},
-		{id: "E7b_Serverless", run: tbl(func(s float64) (*metrics.Table, error) { return ServerlessStreaming(s, 200) })},
-		{id: "E8_ThroughputModel", run: func() (*metrics.Table, []string, error) { return ThroughputModel(detScale, 200) }},
+		{id: "E7_Streaming", run: tbl(func() (*metrics.Table, error) { return Streaming(200) })},
+		{id: "E7b_Serverless", run: tbl(func() (*metrics.Table, error) { return ServerlessStreaming(200) })},
+		{id: "E8_ThroughputModel", run: func() (*metrics.Table, []string, error) { return ThroughputModel(200) }},
 		{id: "E9_LateBinding", run: tbl(LateBinding)},
 		{id: "E9b_DynamicScaling", run: tbl(DynamicScaling)},
-		{id: "E10_Fig5Loop", run: func() (*metrics.Table, []string, error) { return Fig5Loop(detScale, 120) }},
+		{id: "E10_Fig5Loop", run: func() (*metrics.Table, []string, error) { return Fig5Loop(120) }},
 		// E11 compares real CPU algorithms; its wall-ms column is the one
 		// legitimately nondeterministic cell in the whole evaluation.
 		{id: "E11_Ablation", run: tbl(AblationAlgorithm), drop: []string{"makespan_wall_ms"}},
 		{id: "E12_EnKF", run: tbl(EnKFAdaptive)},
-		{id: "E13_MillionMessages", run: tbl(func(s float64) (*metrics.Table, error) { return MillionMessages(s, 40_000) })},
+		{id: "E13_MillionMessages", run: tbl(func() (*metrics.Table, error) { return MillionMessages(40_000) })},
 	}
 	for _, ex := range exhibits {
 		ex := ex

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"gopilot/internal/apps/enkf"
@@ -21,7 +20,7 @@ import (
 // cheapest configuration meeting a throughput target, then verify the
 // choice with a fresh run. The loop's output is the refined configuration
 // — exactly the knowledge-generation cycle the paper describes.
-func Fig5Loop(scale float64, frames int) (*metrics.Table, []string, error) {
+func Fig5Loop(frames int) (*metrics.Table, []string, error) {
 	if frames <= 0 {
 		frames = 600
 	}
@@ -34,7 +33,7 @@ func Fig5Loop(scale float64, frames int) (*metrics.Table, []string, error) {
 		Name:   "fig5-sweep",
 		Design: design,
 		Run: func(ctx context.Context, cfg map[string]float64, _ int) (map[string]float64, error) {
-			tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 14})
+			tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 14})
 			defer tb.Close()
 			parts := int(cfg["partitions"])
 			tput, _, err := StreamTrial(tb, parts, parts, frames, 10*time.Millisecond)
@@ -83,7 +82,7 @@ func Fig5Loop(scale float64, frames int) (*metrics.Table, []string, error) {
 	}
 
 	// Verify the refined configuration.
-	tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 15})
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 15})
 	verified, _, err := StreamTrial(tb, chosen, chosen, frames, 10*time.Millisecond)
 	tb.Close()
 	if err != nil {
@@ -115,7 +114,7 @@ func Fig5Loop(scale float64, frames int) (*metrics.Table, []string, error) {
 // Algorithms" [53] (E11): the early-break Hausdorff algorithm versus
 // scaling out the naive one. Both real computations run as pilot tasks;
 // the table shows that the algorithmic improvement beats adding cores.
-func AblationAlgorithm(scale float64) (*metrics.Table, error) {
+func AblationAlgorithm() (*metrics.Table, error) {
 	const (
 		atoms = 600
 		pairs = 12
@@ -138,7 +137,7 @@ func AblationAlgorithm(scale float64) (*metrics.Table, error) {
 		"variant", "cores", "makespan_wall_ms", "distance_ops")
 
 	run := func(name string, cores int, early bool) error {
-		tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 16})
+		tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 16})
 		defer tb.Close()
 		mgr := tb.NewManager(nil)
 		if _, err := mgr.SubmitPilot(core.PilotDescription{
@@ -147,7 +146,6 @@ func AblationAlgorithm(scale float64) (*metrics.Table, error) {
 			return err
 		}
 		totalOps := 0
-		var opsMu sync.Mutex
 		wallStart := time.Now()
 		units := make([]*core.ComputeUnit, 0, pairs)
 		for i := 0; i < pairs; i++ {
@@ -159,7 +157,7 @@ func AblationAlgorithm(scale float64) (*metrics.Table, error) {
 					// frames: run them as a parallel compute phase so the
 					// scaled-out variants use real cores. Only the ops
 					// accumulation — shared mutation — happens back on the
-					// token, under a mutex for the non-virtual clock modes.
+					// token, which serializes it.
 					var ops int
 					if !tc.Compute(ctx, func() {
 						if early {
@@ -171,9 +169,7 @@ func AblationAlgorithm(scale float64) (*metrics.Table, error) {
 					}) {
 						return ctx.Err()
 					}
-					opsMu.Lock()
 					totalOps += ops
-					opsMu.Unlock()
 					return nil
 				},
 			})
@@ -208,8 +204,8 @@ func AblationAlgorithm(scale float64) (*metrics.Table, error) {
 // EnKFAdaptive reproduces the autonomic ensemble case study [50] (E12):
 // per-cycle ensemble sizes under adaptive control, showing runtime task
 // creation (R3) with a bounded filter error.
-func EnKFAdaptive(scale float64) (*metrics.Table, error) {
-	tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 10, Seed: 17})
+func EnKFAdaptive() (*metrics.Table, error) {
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 10, Seed: 17})
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 	if _, err := mgr.SubmitPilot(core.PilotDescription{

@@ -20,14 +20,14 @@ import (
 // RexModel prediction. The shape to reproduce: near-linear speedup while
 // waves shrink, flattening once concurrency == ensemble size, with the
 // model tracking measurements.
-func RexScaling(scale float64) (*metrics.Table, error) {
+func RexScaling() (*metrics.Table, error) {
 	const (
 		replicas  = 32
 		cycles    = 3
 		mdSeconds = 60
 		exchange  = 5 * time.Second
 	)
-	tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 30, Seed: 3})
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 30, Seed: 3})
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
@@ -78,7 +78,7 @@ func RexScaling(scale float64) (*metrics.Table, error) {
 // scheduler across two sites. The shape: data-aware placement avoids
 // nearly all cross-site transfers and wins on makespan; the gap widens
 // with data size (data gravity).
-func PilotData(scale float64) (*metrics.Table, error) {
+func PilotData() (*metrics.Table, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 
@@ -88,7 +88,7 @@ func PilotData(scale float64) (*metrics.Table, error) {
 
 	for _, chunkMB := range []float64{100, 1000} {
 		for _, sched := range []core.Scheduler{scheduler.LeastLoaded{}, scheduler.DataAware{}} {
-			tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 4})
+			tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 4})
 			mgr := tb.NewManager(sched)
 			// One pilot per site; data lives at stampede.
 			if _, err := mgr.SubmitPilot(core.PilotDescription{

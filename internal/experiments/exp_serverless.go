@@ -18,7 +18,7 @@ import (
 // cluster path has flat, low latency once warm; the serverless path pays
 // cold starts (visible in max latency) but matches steady-state
 // throughput, trading standing resources for per-invocation elasticity.
-func ServerlessStreaming(scale float64, frames int) (*metrics.Table, error) {
+func ServerlessStreaming(frames int) (*metrics.Table, error) {
 	if frames <= 0 {
 		frames = 1000
 	}
@@ -28,7 +28,7 @@ func ServerlessStreaming(scale float64, frames int) (*metrics.Table, error) {
 
 	for _, parts := range []int{1, 4} {
 		// ---------------- cluster (pilot workers) --------------------------
-		tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 19})
+		tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 19})
 		tput, lat, err := StreamTrial(tb, parts, parts, frames, 10*time.Millisecond)
 		tb.Close()
 		if err != nil {
@@ -41,7 +41,7 @@ func ServerlessStreaming(scale float64, frames int) (*metrics.Table, error) {
 			"-")
 
 		// ---------------- serverless (FaaS invocations) --------------------
-		tb2 := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 20})
+		tb2 := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 20})
 		sTput, sLat, cold, err := serverlessTrial(tb2, parts, frames, 10*time.Millisecond)
 		tb2.Close()
 		if err != nil {

@@ -70,7 +70,7 @@ func StreamTrial(tb *Testbed, partitions, workers, frames int, handlerCost time.
 // partitions (and matching processing workers) grow. Shape: throughput
 // scales with partitions until the producer or handler saturates; latency
 // collapses once consumers keep up.
-func Streaming(scale float64, frames int) (*metrics.Table, error) {
+func Streaming(frames int) (*metrics.Table, error) {
 	if frames <= 0 {
 		frames = 1500
 	}
@@ -79,7 +79,7 @@ func Streaming(scale float64, frames int) (*metrics.Table, error) {
 		"partitions", "workers", "throughput_msg_s", "latency_p50_s", "latency_p95_s")
 
 	for _, parts := range []int{1, 2, 4, 8} {
-		tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 8})
+		tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 8})
 		tput, lat, err := StreamTrial(tb, parts, parts, frames, 10*time.Millisecond)
 		tb.Close()
 		if err != nil {
@@ -98,7 +98,7 @@ func Streaming(scale float64, frames int) (*metrics.Table, error) {
 // training data; an OLS model predicts throughput from the configuration;
 // a holdout configuration validates it. The table reports the fit and the
 // holdout error, mirroring the paper's model-quality reporting.
-func ThroughputModel(scale float64, frames int) (*metrics.Table, []string, error) {
+func ThroughputModel(frames int) (*metrics.Table, []string, error) {
 	if frames <= 0 {
 		frames = 800
 	}
@@ -109,7 +109,7 @@ func ThroughputModel(scale float64, frames int) (*metrics.Table, []string, error
 		Name:   "throughput-sweep",
 		Design: design,
 		Run: func(ctx context.Context, cfg map[string]float64, _ int) (map[string]float64, error) {
-			tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 9})
+			tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 9})
 			defer tb.Close()
 			parts := int(cfg["partitions"])
 			tput, lat, err := StreamTrial(tb, parts, parts, frames, 10*time.Millisecond)

@@ -22,17 +22,14 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // `go test ./internal/experiments -run Golden -update` only for an
 // intended change of the model.
 func TestStandaloneExhibitsGolden(t *testing.T) {
-	if DefaultClockMode != ClockVirtual {
-		t.Skip("golden values are only defined on the virtual clock")
-	}
 	exhibits := []struct {
 		file string
 		run  func() (*metrics.Table, error)
 	}{
-		{"e1_table1.golden", func() (*metrics.Table, error) { return Table1(detScale) }},
-		{"e7_streaming.golden", func() (*metrics.Table, error) { return Streaming(detScale, 1500) }},
-		{"e7b_serverless.golden", func() (*metrics.Table, error) { return ServerlessStreaming(detScale, 1000) }},
-		{"e9_latebinding.golden", func() (*metrics.Table, error) { return LateBinding(detScale) }},
+		{"e1_table1.golden", Table1},
+		{"e7_streaming.golden", func() (*metrics.Table, error) { return Streaming(1500) }},
+		{"e7b_serverless.golden", func() (*metrics.Table, error) { return ServerlessStreaming(1000) }},
+		{"e9_latebinding.golden", LateBinding},
 	}
 	for _, ex := range exhibits {
 		ex := ex

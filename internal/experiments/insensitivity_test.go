@@ -53,7 +53,7 @@ type spineObservation struct {
 // components drew.
 func runSpineWorkload(t *testing.T, v spineVariant) spineObservation {
 	t.Helper()
-	tb := NewTestbed(TestbedConfig{Scale: testScale, Seed: 42})
+	tb := NewTestbed(TestbedConfig{Seed: 42})
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -256,7 +256,7 @@ func TestComponentInsensitivity(t *testing.T) {
 // common.
 func TestUnitStreamPlacementIndependent(t *testing.T) {
 	draw := func(resource string) uint64 {
-		tb := NewTestbed(TestbedConfig{Scale: testScale, Seed: 7})
+		tb := NewTestbed(TestbedConfig{Seed: 7})
 		defer tb.Close()
 		mgr := tb.NewManager(nil)
 		if _, err := mgr.SubmitPilot(core.PilotDescription{

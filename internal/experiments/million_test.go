@@ -17,11 +17,8 @@ import (
 // order, commit marks gapless, resident bytes bounded — with at least
 // one leader handoff actually exercised by the injected shard loss.
 func TestMillionMessagesBitIdenticalAcrossFiveRuns(t *testing.T) {
-	if DefaultClockMode != ClockVirtual {
-		t.Skip("determinism is only guaranteed in virtual clock mode")
-	}
 	render := func() (string, []string) {
-		tbl, err := MillionMessages(detScale, 40_000)
+		tbl, err := MillionMessages(40_000)
 		if err != nil {
 			t.Fatal(err)
 		}

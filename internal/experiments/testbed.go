@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"gopilot/internal/core"
@@ -23,46 +22,14 @@ import (
 	"gopilot/internal/vclock"
 )
 
-// DefaultScale compresses one modeled second into one wall millisecond
-// (only meaningful in ClockScaled mode).
-const DefaultScale = 1000
-
-// ClockMode selects the clock implementation a testbed runs on.
+// ClockMode names the clock a testbed runs on. ClockVirtual, its zero
+// value, is the only mode.
 type ClockMode int
 
-// Clock modes. The zero value defers to DefaultClockMode.
-const (
-	// ClockDefault uses DefaultClockMode.
-	ClockDefault ClockMode = iota
-	// ClockVirtual runs on vclock.Virtual: modeled sleeps cost zero wall
-	// time and same-seed runs are bit-reproducible. The goroutine calling
-	// NewTestbed is adopted into the executor until Close.
-	ClockVirtual
-	// ClockScaled runs on vclock.Scaled with TestbedConfig.Scale — real
-	// (compressed) wall time, for live demos.
-	ClockScaled
-	// ClockReal runs on wall time, uncompressed.
-	ClockReal
-)
-
-// ParseClockMode maps the -clock flag values to a mode.
-func ParseClockMode(s string) (ClockMode, error) {
-	switch s {
-	case "", "virtual":
-		return ClockVirtual, nil
-	case "scaled":
-		return ClockScaled, nil
-	case "real":
-		return ClockReal, nil
-	}
-	return ClockDefault, fmt.Errorf("experiments: unknown clock mode %q (want virtual, scaled or real)", s)
-}
-
-// DefaultClockMode is the mode used when TestbedConfig.Mode is
-// ClockDefault. Benchmarks, tests and exhibits all run virtual unless a
-// caller (cmd/experiments -clock) overrides this before any testbed is
-// built; it is not safe to change concurrently with testbed use.
-var DefaultClockMode = ClockVirtual
+// ClockVirtual runs on vclock.Virtual: modeled sleeps cost zero wall time
+// and same-seed runs are bit-reproducible. The goroutine calling
+// NewTestbed is adopted into the executor until Close.
+const ClockVirtual ClockMode = 0
 
 // Testbed is the simulated multi-infrastructure environment every
 // experiment runs on: two HPC machines (different queue pressure), an HTC
@@ -70,7 +37,7 @@ var DefaultClockMode = ClockVirtual
 // federating their sites.
 type Testbed struct {
 	Clock    vclock.Clock
-	Virtual  *vclock.Virtual // non-nil when running in ClockVirtual mode
+	Virtual  *vclock.Virtual // the same executor as Clock
 	Registry *saga.Registry
 	HPCA     *hpc.Cluster
 	HPCB     *hpc.Cluster
@@ -94,11 +61,8 @@ type Testbed struct {
 
 // TestbedConfig tunes the environment.
 type TestbedConfig struct {
-	// Mode selects the clock (default: DefaultClockMode, normally virtual).
+	// Mode names the clock; ClockVirtual is the only (and zero) value.
 	Mode ClockMode
-	// Scale is the virtual-time factor for ClockScaled (default
-	// DefaultScale); ignored on the virtual and real clocks.
-	Scale float64
 	// QueueWaitMean is machine A's mean exogenous queue wait in seconds
 	// (default 60). Machine B always waits 4× longer (a busier machine).
 	QueueWaitMean float64
@@ -110,35 +74,20 @@ type TestbedConfig struct {
 	Seed int64
 }
 
-// NewTestbed builds the environment. In virtual mode the calling goroutine
-// is adopted as a participant of the executor — it must be the (single)
-// driver of the testbed until Close, and must not touch a still-open outer
-// virtual testbed in between (nesting is fine; interleaving is not).
+// NewTestbed builds the environment. The calling goroutine is adopted as a
+// participant of the executor — it must be the (single) driver of the
+// testbed until Close, and must not touch a still-open outer testbed in
+// between (nesting is fine; interleaving is not).
 func NewTestbed(cfg TestbedConfig) *Testbed {
-	if cfg.Mode == ClockDefault {
-		cfg.Mode = DefaultClockMode
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = DefaultScale
-	}
 	if cfg.QueueWaitMean <= 0 {
 		cfg.QueueWaitMean = 60
 	}
 	if cfg.QueueWaitCV <= 0 {
 		cfg.QueueWaitCV = 0.5
 	}
-	var clock vclock.Clock
-	var virtual *vclock.Virtual
-	switch cfg.Mode {
-	case ClockVirtual:
-		virtual = vclock.NewVirtual(vclock.Epoch)
-		clock = virtual
-		virtual.Adopt()
-	case ClockReal:
-		clock = vclock.NewReal()
-	default:
-		clock = vclock.NewScaled(cfg.Scale)
-	}
+	virtual := vclock.NewVirtual(vclock.Epoch)
+	virtual.Adopt()
+	var clock vclock.Clock = virtual
 	root := dist.NewStream(cfg.Seed)
 	tb := &Testbed{Clock: clock, Virtual: virtual, Registry: saga.NewRegistry(), Root: root}
 
@@ -219,8 +168,8 @@ func (tb *Testbed) NewManager(sched core.Scheduler) *core.Manager {
 	return m
 }
 
-// Close shuts every component down; in virtual mode it finally releases
-// the driver goroutine from the executor.
+// Close shuts every component down and finally releases the driver
+// goroutine from the executor.
 func (tb *Testbed) Close() {
 	for _, m := range tb.managers {
 		m.Close()
@@ -231,12 +180,10 @@ func (tb *Testbed) Close() {
 	tb.Cloud.Shutdown()
 	tb.Yarn.Shutdown()
 	tb.Registry.CloseAll()
-	if tb.Virtual != nil {
-		tb.Virtual.Leave()
-	}
+	tb.Virtual.Leave()
 }
 
-// Go spawns fn as a participant of the testbed's clock (a plain goroutine
-// on non-virtual clocks). Driver code that forks concurrent work against
-// the testbed must use this instead of the go statement.
-func (tb *Testbed) Go(fn func()) { vclock.Go(tb.Clock, fn) }
+// Go spawns fn as a participant of the testbed's clock. Driver code that
+// forks concurrent work against the testbed must use this instead of the
+// go statement.
+func (tb *Testbed) Go(fn func()) { tb.Virtual.Go(fn) }

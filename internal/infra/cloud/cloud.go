@@ -87,7 +87,7 @@ type Config struct {
 	// CapacityVMs bounds the total simultaneously running instances
 	// (a quota); zero means unlimited.
 	CapacityVMs int
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies modeled time (required; a *vclock.Virtual).
 	Clock vclock.Clock
 	// Stream is the region's slot on the experiment's seeding spine. When
 	// BootDelay is nil and Stream is set, the canonical stochastic boot
@@ -115,9 +115,6 @@ func (c *Config) withDefaults() Config {
 		} else {
 			out.BootDelay = dist.Constant(0)
 		}
-	}
-	if out.Clock == nil {
-		out.Clock = vclock.NewReal()
 	}
 	return out
 }

@@ -10,7 +10,14 @@ import (
 	"gopilot/internal/vclock"
 )
 
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
+// fastClock returns a virtual clock with the test goroutine adopted as a
+// participant until the test ends.
+func fastClock(t *testing.T) *vclock.Virtual {
+	v := vclock.NewVirtual(vclock.Epoch)
+	v.Adopt()
+	t.Cleanup(v.Leave)
+	return v
+}
 
 func testConfig(clock vclock.Clock) Config {
 	return Config{
@@ -25,7 +32,7 @@ func testConfig(clock vclock.Clock) Config {
 }
 
 func TestProvisionBootsVMs(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(testConfig(clock))
 	defer p.Shutdown()
 	start := clock.Now()
@@ -53,7 +60,7 @@ func TestProvisionBootsVMs(t *testing.T) {
 }
 
 func TestAllocationAggregatesCores(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(testConfig(clock))
 	defer p.Shutdown()
 	vms, _ := p.Provision(context.Background(), 2, "large")
@@ -70,7 +77,7 @@ func TestAllocationAggregatesCores(t *testing.T) {
 }
 
 func TestTerminateAccumulatesCost(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(testConfig(clock))
 	defer p.Shutdown()
 	vms, _ := p.Provision(context.Background(), 1, "large")
@@ -93,7 +100,7 @@ func TestTerminateAccumulatesCost(t *testing.T) {
 }
 
 func TestQuotaEnforced(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	cfg := testConfig(clock)
 	cfg.CapacityVMs = 2
 	p := New(cfg)
@@ -115,7 +122,7 @@ func TestQuotaEnforced(t *testing.T) {
 }
 
 func TestUnknownType(t *testing.T) {
-	p := New(testConfig(fastClock()))
+	p := New(testConfig(fastClock(t)))
 	defer p.Shutdown()
 	if _, err := p.Provision(context.Background(), 1, "gpu.mega"); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("err = %v, want ErrUnknownType", err)
@@ -123,13 +130,16 @@ func TestUnknownType(t *testing.T) {
 }
 
 func TestProvisionCanceled(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	cfg := testConfig(clock)
 	cfg.BootDelay = dist.Constant(3600)
 	p := New(cfg)
 	defer p.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
-	go cancel()
+	clock.Go(func() {
+		clock.Sleep(context.Background(), time.Second)
+		cancel()
+	})
 	if _, err := p.Provision(ctx, 1, ""); err == nil {
 		t.Fatal("expected cancellation error")
 	}
@@ -139,7 +149,7 @@ func TestProvisionCanceled(t *testing.T) {
 }
 
 func TestShutdownRejects(t *testing.T) {
-	p := New(testConfig(fastClock()))
+	p := New(testConfig(fastClock(t)))
 	p.Shutdown()
 	if _, err := p.Provision(context.Background(), 1, ""); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -147,7 +157,7 @@ func TestShutdownRejects(t *testing.T) {
 }
 
 func TestDefaultTypeUsed(t *testing.T) {
-	p := New(testConfig(fastClock()))
+	p := New(testConfig(fastClock(t)))
 	defer p.Shutdown()
 	vms, err := p.Provision(context.Background(), 1, "")
 	if err != nil {

@@ -77,7 +77,7 @@ type Config struct {
 	DispatchOverhead time.Duration
 	// Backfill enables EASY backfill; without it the queue is strict FCFS.
 	Backfill bool
-	// Clock supplies virtual time. Defaults to vclock.Real.
+	// Clock supplies modeled time (required; a *vclock.Virtual).
 	Clock vclock.Clock
 	// Stream is the cluster's slot on the experiment's seeding spine.
 	// When QueueWait is nil and Stream is set, the canonical stochastic
@@ -108,9 +108,6 @@ func (c *Config) withDefaults() Config {
 		} else {
 			out.QueueWait = dist.Constant(0)
 		}
-	}
-	if out.Clock == nil {
-		out.Clock = vclock.NewReal()
 	}
 	return out
 }

@@ -3,8 +3,6 @@ package hpc
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,10 +11,14 @@ import (
 	"gopilot/internal/vclock"
 )
 
-// fastClock compresses modeled seconds to 0.5ms of wall time. The factor is
-// kept moderate so OS timer resolution (~0.1ms) stays small relative to the
-// shortest modeled duration used in these tests.
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
+// fastClock returns a virtual clock with the test goroutine adopted as a
+// participant until the test ends.
+func fastClock(t *testing.T) *vclock.Virtual {
+	v := vclock.NewVirtual(vclock.Epoch)
+	v.Adopt()
+	t.Cleanup(v.Leave)
+	return v
+}
 
 func okPayload(d time.Duration, clock vclock.Clock) infra.Payload {
 	return func(ctx context.Context, _ infra.Allocation) error {
@@ -28,7 +30,7 @@ func okPayload(d time.Duration, clock vclock.Clock) infra.Payload {
 }
 
 func TestJobCompletes(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "test", Nodes: 4, CoresPerNode: 8, Clock: clock})
 	defer c.Shutdown()
 	j, err := c.Submit(JobSpec{Name: "j1", Nodes: 2, Walltime: time.Hour, Payload: okPayload(10*time.Second, clock)})
@@ -45,7 +47,7 @@ func TestJobCompletes(t *testing.T) {
 }
 
 func TestAllocationShape(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "alpha", Nodes: 4, CoresPerNode: 16, Clock: clock})
 	defer c.Shutdown()
 	var got infra.Allocation
@@ -66,7 +68,7 @@ func TestAllocationShape(t *testing.T) {
 }
 
 func TestCapacityWaitEmerges(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "cap", Nodes: 1, CoresPerNode: 8, Clock: clock})
 	defer c.Shutdown()
 	j1, _ := c.Submit(JobSpec{Nodes: 1, Walltime: time.Hour, Payload: okPayload(20*time.Second, clock)})
@@ -79,7 +81,7 @@ func TestCapacityWaitEmerges(t *testing.T) {
 }
 
 func TestExogenousQueueWaitApplied(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "qw", Nodes: 8, CoresPerNode: 8, QueueWait: dist.Constant(30), Clock: clock})
 	defer c.Shutdown()
 	j, _ := c.Submit(JobSpec{Nodes: 1, Payload: okPayload(0, clock)})
@@ -90,7 +92,7 @@ func TestExogenousQueueWaitApplied(t *testing.T) {
 }
 
 func TestWalltimeEnforced(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "wt", Nodes: 1, CoresPerNode: 1, Clock: clock})
 	defer c.Shutdown()
 	j, _ := c.Submit(JobSpec{Nodes: 1, Walltime: 5 * time.Second, Payload: okPayload(time.Hour, clock)})
@@ -104,7 +106,7 @@ func TestWalltimeEnforced(t *testing.T) {
 }
 
 func TestFailedPayload(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "fail", Nodes: 1, CoresPerNode: 1, Clock: clock})
 	defer c.Shutdown()
 	boom := errors.New("boom")
@@ -116,7 +118,7 @@ func TestFailedPayload(t *testing.T) {
 }
 
 func TestCancelPending(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	// Long exogenous delay keeps the job pending.
 	c := New(Config{Name: "cp", Nodes: 1, CoresPerNode: 1, QueueWait: dist.Constant(3600), Clock: clock})
 	defer c.Shutdown()
@@ -129,16 +131,16 @@ func TestCancelPending(t *testing.T) {
 }
 
 func TestCancelRunning(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "cr", Nodes: 1, CoresPerNode: 1, Clock: clock})
 	defer c.Shutdown()
-	started := make(chan struct{})
+	started := vclock.NewEvent(clock)
 	j, _ := c.Submit(JobSpec{Nodes: 1, Payload: func(ctx context.Context, _ infra.Allocation) error {
-		close(started)
-		<-ctx.Done()
+		started.Fire()
+		clock.Sleep(ctx, 24*time.Hour)
 		return ctx.Err()
 	}})
-	<-started
+	started.Wait(context.Background())
 	c.Cancel(j)
 	state, _ := j.Wait(context.Background())
 	if state != Canceled {
@@ -147,25 +149,27 @@ func TestCancelRunning(t *testing.T) {
 }
 
 func TestTooLargeRejected(t *testing.T) {
-	c := New(Config{Name: "big", Nodes: 2, CoresPerNode: 8, Clock: fastClock()})
+	clock := fastClock(t)
+	c := New(Config{Name: "big", Nodes: 2, CoresPerNode: 8, Clock: clock})
 	defer c.Shutdown()
-	_, err := c.Submit(JobSpec{Nodes: 3, Payload: okPayload(0, fastClock())})
+	_, err := c.Submit(JobSpec{Nodes: 3, Payload: okPayload(0, clock)})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestSubmitAfterShutdown(t *testing.T) {
-	c := New(Config{Name: "closed", Nodes: 1, CoresPerNode: 1, Clock: fastClock()})
+	clock := fastClock(t)
+	c := New(Config{Name: "closed", Nodes: 1, CoresPerNode: 1, Clock: clock})
 	c.Shutdown()
-	_, err := c.Submit(JobSpec{Nodes: 1, Payload: okPayload(0, fastClock())})
+	_, err := c.Submit(JobSpec{Nodes: 1, Payload: okPayload(0, clock)})
 	if !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("err = %v, want ErrClusterClosed", err)
 	}
 }
 
 func TestBackfillLetsSmallJobJumpQueue(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "bf", Nodes: 4, CoresPerNode: 1, Backfill: true, Clock: clock})
 	defer c.Shutdown()
 
@@ -192,7 +196,7 @@ func TestBackfillLetsSmallJobJumpQueue(t *testing.T) {
 }
 
 func TestNoBackfillStrictFCFS(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "fcfs", Nodes: 4, CoresPerNode: 1, Backfill: false, Clock: clock})
 	defer c.Shutdown()
 	blocker, _ := c.Submit(JobSpec{Nodes: 3, Walltime: 100 * time.Second, Payload: okPayload(50*time.Second, clock)})
@@ -208,27 +212,25 @@ func TestNoBackfillStrictFCFS(t *testing.T) {
 }
 
 func TestManyJobsDrainAndUtilization(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "many", Nodes: 4, CoresPerNode: 2, Clock: clock})
 	defer c.Shutdown()
-	var wg sync.WaitGroup
-	var completed atomic.Int64
+	var jobs []*Job
 	for i := 0; i < 32; i++ {
 		j, err := c.Submit(JobSpec{Nodes: 1, Walltime: time.Minute, Payload: okPayload(2*time.Second, clock)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if s, _ := j.Wait(context.Background()); s == Completed {
-				completed.Add(1)
-			}
-		}()
+		jobs = append(jobs, j)
 	}
-	wg.Wait()
-	if completed.Load() != 32 {
-		t.Fatalf("completed = %d, want 32", completed.Load())
+	completed := 0
+	for _, j := range jobs {
+		if s, _ := j.Wait(context.Background()); s == Completed {
+			completed++
+		}
+	}
+	if completed != 32 {
+		t.Fatalf("completed = %d, want 32", completed)
 	}
 	if u := c.Utilization(); u <= 0 || u > 1.01 {
 		t.Errorf("utilization = %g, want (0,1]", u)
@@ -245,7 +247,7 @@ func TestManyJobsDrainAndUtilization(t *testing.T) {
 }
 
 func TestNilPayloadRejected(t *testing.T) {
-	c := New(Config{Name: "nil", Clock: fastClock()})
+	c := New(Config{Name: "nil", Clock: fastClock(t)})
 	defer c.Shutdown()
 	if _, err := c.Submit(JobSpec{Nodes: 1}); err == nil {
 		t.Fatal("nil payload accepted")

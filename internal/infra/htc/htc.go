@@ -68,7 +68,7 @@ type Config struct {
 	EvictionRate float64
 	// MaxRetries bounds automatic re-matching after eviction.
 	MaxRetries int
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies modeled time (required; a *vclock.Virtual).
 	Clock vclock.Clock
 	// Stream is the pool's slot on the experiment's seeding spine. Every
 	// submitted job draws its eviction sequence from the "evict"/<job
@@ -102,9 +102,6 @@ func (c *Config) withDefaults() Config {
 		} else {
 			out.MatchDelay = dist.Constant(0)
 		}
-	}
-	if out.Clock == nil {
-		out.Clock = vclock.NewReal()
 	}
 	if out.MaxRetries < 0 {
 		out.MaxRetries = 0

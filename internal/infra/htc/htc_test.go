@@ -12,7 +12,14 @@ import (
 	"gopilot/internal/vclock"
 )
 
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
+// fastClock returns a virtual clock with the test goroutine adopted as a
+// participant until the test ends.
+func fastClock(t *testing.T) *vclock.Virtual {
+	v := vclock.NewVirtual(vclock.Epoch)
+	v.Adopt()
+	t.Cleanup(v.Leave)
+	return v
+}
 
 func sleeper(d time.Duration, clock vclock.Clock) infra.Payload {
 	return func(ctx context.Context, _ infra.Allocation) error {
@@ -24,7 +31,7 @@ func sleeper(d time.Duration, clock vclock.Clock) infra.Payload {
 }
 
 func TestJobCompletes(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "osg", Slots: 4, Clock: clock})
 	defer p.Shutdown()
 	j, err := p.Submit(JobSpec{Name: "t", Runtime: time.Second, Payload: sleeper(time.Second, clock)})
@@ -41,7 +48,7 @@ func TestJobCompletes(t *testing.T) {
 }
 
 func TestMatchDelayApplied(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "slow", Slots: 4, MatchDelay: dist.Constant(10), Clock: clock})
 	defer p.Shutdown()
 	j, _ := p.Submit(JobSpec{Payload: sleeper(0, clock)})
@@ -55,7 +62,7 @@ func TestMatchDelayApplied(t *testing.T) {
 }
 
 func TestSlotsLimitConcurrency(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "lim", Slots: 2, Clock: clock})
 	defer p.Shutdown()
 	var mu sync.Mutex
@@ -86,7 +93,7 @@ func TestSlotsLimitConcurrency(t *testing.T) {
 }
 
 func TestEvictionWithRetrySucceeds(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "ev", Slots: 2, EvictionRate: 1.0, MaxRetries: 50, Clock: clock, MatchDelay: dist.Constant(0)})
 	defer p.Shutdown()
 	// Payload that succeeds only if not interrupted; with retries it should
@@ -100,12 +107,11 @@ func TestEvictionWithRetrySucceeds(t *testing.T) {
 }
 
 func TestEvictionExhaustsRetries(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "ev2", Slots: 1, EvictionRate: 1.0, MaxRetries: 2, Clock: clock, MatchDelay: dist.Constant(0)})
 	defer p.Shutdown()
 	// The payload runs far past the runtime estimate the eviction point is
-	// sampled from, so the eviction always lands first even under heavy
-	// wall-clock timer jitter.
+	// sampled from, so the eviction always lands first.
 	j, _ := p.Submit(JobSpec{Runtime: 5 * time.Second, Payload: sleeper(120*time.Second, clock)})
 	state, err := j.Wait(context.Background())
 	if state != Evicted {
@@ -120,7 +126,7 @@ func TestEvictionExhaustsRetries(t *testing.T) {
 }
 
 func TestNoEvictionAtRateZero(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "ev0", Slots: 4, EvictionRate: 0, Clock: clock})
 	defer p.Shutdown()
 	jobs := make([]*Job, 16)
@@ -138,7 +144,7 @@ func TestNoEvictionAtRateZero(t *testing.T) {
 }
 
 func TestFailedPayload(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "f", Slots: 1, Clock: clock})
 	defer p.Shutdown()
 	boom := errors.New("boom")
@@ -150,15 +156,16 @@ func TestFailedPayload(t *testing.T) {
 }
 
 func TestSubmitAfterShutdown(t *testing.T) {
-	p := New(Config{Name: "c", Slots: 1, Clock: fastClock()})
+	clock := fastClock(t)
+	p := New(Config{Name: "c", Slots: 1, Clock: clock})
 	p.Shutdown()
-	if _, err := p.Submit(JobSpec{Payload: sleeper(0, fastClock())}); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.Submit(JobSpec{Payload: sleeper(0, clock)}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
 }
 
 func TestNilPayloadRejected(t *testing.T) {
-	p := New(Config{Name: "n", Clock: fastClock()})
+	p := New(Config{Name: "n", Clock: fastClock(t)})
 	defer p.Shutdown()
 	if _, err := p.Submit(JobSpec{}); err == nil {
 		t.Fatal("nil payload accepted")

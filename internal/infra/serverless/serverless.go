@@ -30,7 +30,7 @@ type Config struct {
 	WarmTTL time.Duration
 	// ConcurrencyLimit bounds simultaneous executions; zero means 1000.
 	ConcurrencyLimit int
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies modeled time (required; a *vclock.Virtual).
 	Clock vclock.Clock
 	// Stream is the platform's slot on the experiment's seeding spine.
 	// When ColdStart/WarmStart are nil and Stream is set, canonical
@@ -69,9 +69,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.ConcurrencyLimit <= 0 {
 		out.ConcurrencyLimit = 1000
-	}
-	if out.Clock == nil {
-		out.Clock = vclock.NewReal()
 	}
 	return out
 }

@@ -12,12 +12,19 @@ import (
 	"gopilot/internal/vclock"
 )
 
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
+// fastClock returns a virtual clock with the test goroutine adopted as a
+// participant until the test ends.
+func fastClock(t *testing.T) *vclock.Virtual {
+	v := vclock.NewVirtual(vclock.Epoch)
+	v.Adopt()
+	t.Cleanup(v.Leave)
+	return v
+}
 
 func noop(context.Context, infra.Allocation) error { return nil }
 
 func TestColdThenWarm(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{
 		Name:      "lambda",
 		ColdStart: dist.Constant(2),
@@ -37,7 +44,7 @@ func TestColdThenWarm(t *testing.T) {
 }
 
 func TestWarmPoolPerFunction(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "l", ColdStart: dist.Constant(1), WarmStart: dist.Constant(0.01), WarmTTL: time.Hour, Clock: clock})
 	p.Invoke(context.Background(), "f", noop)
 	p.Invoke(context.Background(), "g", noop) // different function: cold again
@@ -47,7 +54,7 @@ func TestWarmPoolPerFunction(t *testing.T) {
 }
 
 func TestWarmTTLExpiry(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "l", ColdStart: dist.Constant(0.5), WarmStart: dist.Constant(0.01), WarmTTL: 5 * time.Second, Clock: clock})
 	p.Invoke(context.Background(), "f", noop)
 	clock.Sleep(context.Background(), 30*time.Second) // let the container expire
@@ -58,7 +65,7 @@ func TestWarmTTLExpiry(t *testing.T) {
 }
 
 func TestConcurrencyLimit(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "l", ColdStart: dist.Constant(0.01), WarmStart: dist.Constant(0.01), ConcurrencyLimit: 2, Clock: clock})
 	var mu sync.Mutex
 	running, peak := 0, 0
@@ -75,13 +82,13 @@ func TestConcurrencyLimit(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}
-	var wg sync.WaitGroup
+	wg := vclock.NewGroup(clock)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() {
+		clock.Go(func() {
 			defer wg.Done()
 			p.Invoke(context.Background(), "f", payload)
-		}()
+		})
 	}
 	wg.Wait()
 	if peak > 2 {
@@ -90,7 +97,7 @@ func TestConcurrencyLimit(t *testing.T) {
 }
 
 func TestPayloadErrorPropagates(t *testing.T) {
-	p := New(Config{Name: "l", ColdStart: dist.Constant(0.01), Clock: fastClock()})
+	p := New(Config{Name: "l", ColdStart: dist.Constant(0.01), Clock: fastClock(t)})
 	boom := errors.New("boom")
 	err := p.Invoke(context.Background(), "f", func(context.Context, infra.Allocation) error { return boom })
 	if !errors.Is(err, boom) {
@@ -99,7 +106,7 @@ func TestPayloadErrorPropagates(t *testing.T) {
 }
 
 func TestInvokeAfterShutdown(t *testing.T) {
-	p := New(Config{Name: "l", Clock: fastClock()})
+	p := New(Config{Name: "l", Clock: fastClock(t)})
 	p.Shutdown()
 	if err := p.Invoke(context.Background(), "f", noop); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -107,17 +114,20 @@ func TestInvokeAfterShutdown(t *testing.T) {
 }
 
 func TestCancellationDuringColdStart(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "l", ColdStart: dist.Constant(3600), Clock: clock})
 	ctx, cancel := context.WithCancel(context.Background())
-	go cancel()
+	clock.Go(func() {
+		clock.Sleep(context.Background(), time.Second)
+		cancel()
+	})
 	if err := p.Invoke(ctx, "f", noop); err == nil {
 		t.Fatal("expected cancellation error")
 	}
 }
 
 func TestAllocationIsSingleCore(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := New(Config{Name: "l", ColdStart: dist.Constant(0.01), Clock: clock})
 	var got infra.Allocation
 	p.Invoke(context.Background(), "f", func(_ context.Context, a infra.Allocation) error {
@@ -133,7 +143,7 @@ func TestAllocationIsSingleCore(t *testing.T) {
 }
 
 func TestLatencyStatsRecorded(t *testing.T) {
-	p := New(Config{Name: "l", ColdStart: dist.Constant(0.1), Clock: fastClock()})
+	p := New(Config{Name: "l", ColdStart: dist.Constant(0.1), Clock: fastClock(t)})
 	for i := 0; i < 5; i++ {
 		p.Invoke(context.Background(), "f", noop)
 	}

@@ -26,7 +26,7 @@ type Config struct {
 	TotalCores int
 	// AllocDelay samples container negotiation latency in seconds.
 	AllocDelay dist.Dist
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies modeled time (required; a *vclock.Virtual).
 	Clock vclock.Clock
 	// Stream is the cluster's slot on the experiment's seeding spine.
 	// When AllocDelay is nil and Stream is set, the canonical stochastic
@@ -54,9 +54,6 @@ func (c *Config) withDefaults() Config {
 		} else {
 			out.AllocDelay = dist.Constant(0.1)
 		}
-	}
-	if out.Clock == nil {
-		out.Clock = vclock.NewReal()
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package yarn
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,10 +10,17 @@ import (
 	"gopilot/internal/vclock"
 )
 
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
+// fastClock returns a virtual clock with the test goroutine adopted as a
+// participant until the test ends.
+func fastClock(t *testing.T) *vclock.Virtual {
+	v := vclock.NewVirtual(vclock.Epoch)
+	v.Adopt()
+	t.Cleanup(v.Leave)
+	return v
+}
 
 func TestRequestAndRelease(t *testing.T) {
-	c := New(Config{Name: "y", TotalCores: 32, AllocDelay: dist.Constant(0.01), Clock: fastClock()})
+	c := New(Config{Name: "y", TotalCores: 32, AllocDelay: dist.Constant(0.01), Clock: fastClock(t)})
 	defer c.Shutdown()
 	cs, err := c.RequestContainers(context.Background(), 4, 4)
 	if err != nil {
@@ -33,7 +39,7 @@ func TestRequestAndRelease(t *testing.T) {
 }
 
 func TestDoubleReleaseIsIdempotent(t *testing.T) {
-	c := New(Config{Name: "y", TotalCores: 8, AllocDelay: dist.Constant(0.001), Clock: fastClock()})
+	c := New(Config{Name: "y", TotalCores: 8, AllocDelay: dist.Constant(0.001), Clock: fastClock(t)})
 	defer c.Shutdown()
 	cs, _ := c.RequestContainers(context.Background(), 1, 4)
 	c.Release(cs)
@@ -44,35 +50,36 @@ func TestDoubleReleaseIsIdempotent(t *testing.T) {
 }
 
 func TestBlocksUntilCapacity(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "y", TotalCores: 8, AllocDelay: dist.Constant(0.001), Clock: clock})
 	defer c.Shutdown()
 	first, _ := c.RequestContainers(context.Background(), 2, 4)
 
-	done := make(chan []*Container)
-	go func() {
+	var second []*Container
+	done := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer done.Fire()
 		cs, err := c.RequestContainers(context.Background(), 1, 8)
 		if err != nil {
 			t.Error(err)
 		}
-		done <- cs
-	}()
-	select {
-	case <-done:
+		second = cs
+	})
+	clock.Sleep(context.Background(), time.Minute)
+	if done.Fired() {
 		t.Fatal("second request should block while capacity is held")
-	case <-time.After(20 * time.Millisecond):
 	}
 	c.Release(first)
-	select {
-	case cs := <-done:
-		c.Release(cs)
-	case <-time.After(2 * time.Second):
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if !done.Wait(ctx) {
 		t.Fatal("second request never unblocked")
 	}
+	c.Release(second)
 }
 
 func TestTooLargeRejected(t *testing.T) {
-	c := New(Config{Name: "y", TotalCores: 8, Clock: fastClock()})
+	c := New(Config{Name: "y", TotalCores: 8, Clock: fastClock(t)})
 	defer c.Shutdown()
 	if _, err := c.RequestContainers(context.Background(), 3, 4); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
@@ -80,7 +87,7 @@ func TestTooLargeRejected(t *testing.T) {
 }
 
 func TestBadRequestRejected(t *testing.T) {
-	c := New(Config{Name: "y", TotalCores: 8, Clock: fastClock()})
+	c := New(Config{Name: "y", TotalCores: 8, Clock: fastClock(t)})
 	defer c.Shutdown()
 	if _, err := c.RequestContainers(context.Background(), 0, 4); err == nil {
 		t.Fatal("zero containers accepted")
@@ -91,52 +98,47 @@ func TestBadRequestRejected(t *testing.T) {
 }
 
 func TestContextCancelWhileWaiting(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "y", TotalCores: 4, AllocDelay: dist.Constant(0.001), Clock: clock})
 	defer c.Shutdown()
 	held, _ := c.RequestContainers(context.Background(), 1, 4)
 	defer c.Release(held)
 	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error)
-	go func() {
-		_, err := c.RequestContainers(ctx, 1, 4)
-		errCh <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	var err error
+	done := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer done.Fire()
+		_, err = c.RequestContainers(ctx, 1, 4)
+	})
+	clock.Sleep(context.Background(), time.Second)
 	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
+	done.Wait(context.Background())
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestConcurrentRequestsNeverOversubscribe(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "y", TotalCores: 16, AllocDelay: dist.Constant(0.001), Clock: clock})
 	defer c.Shutdown()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
+	wg := vclock.NewGroup(clock)
 	inUse, peak := 0, 0
 	for i := 0; i < 12; i++ {
 		wg.Add(1)
-		go func() {
+		clock.Go(func() {
 			defer wg.Done()
 			cs, err := c.RequestContainers(context.Background(), 1, 4)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			mu.Lock()
 			inUse += 4
-			if inUse > peak {
-				peak = inUse
-			}
-			mu.Unlock()
+			peak = max(peak, inUse)
 			clock.Sleep(context.Background(), time.Second)
-			mu.Lock()
 			inUse -= 4
-			mu.Unlock()
 			c.Release(cs)
-		}()
+		})
 	}
 	wg.Wait()
 	if peak > 16 {
@@ -148,7 +150,7 @@ func TestConcurrentRequestsNeverOversubscribe(t *testing.T) {
 }
 
 func TestAllocationAggregates(t *testing.T) {
-	c := New(Config{Name: "y", TotalCores: 16, AllocDelay: dist.Constant(0.001), Clock: fastClock()})
+	c := New(Config{Name: "y", TotalCores: 16, AllocDelay: dist.Constant(0.001), Clock: fastClock(t)})
 	defer c.Shutdown()
 	cs, _ := c.RequestContainers(context.Background(), 2, 4)
 	defer c.Release(cs)
@@ -159,18 +161,20 @@ func TestAllocationAggregates(t *testing.T) {
 }
 
 func TestShutdownUnblocksWaiters(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := New(Config{Name: "y", TotalCores: 4, AllocDelay: dist.Constant(0.001), Clock: clock})
 	held, _ := c.RequestContainers(context.Background(), 1, 4)
 	_ = held
-	errCh := make(chan error)
-	go func() {
-		_, err := c.RequestContainers(context.Background(), 1, 4)
-		errCh <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	var err error
+	done := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer done.Fire()
+		_, err = c.RequestContainers(context.Background(), 1, 4)
+	})
+	clock.Sleep(context.Background(), time.Second)
 	c.Shutdown()
-	if err := <-errCh; !errors.Is(err, ErrClosed) {
+	done.Wait(context.Background())
+	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }

@@ -19,7 +19,7 @@ import (
 )
 
 type env struct {
-	clock *vclock.Scaled
+	clock *vclock.Virtual
 	mgr   *core.Manager
 	data  *data.Service
 }
@@ -29,7 +29,9 @@ func newEnv(t *testing.T, sites ...string) *env {
 	if len(sites) == 0 {
 		sites = []string{"siteA"}
 	}
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	t.Cleanup(clock.Leave)
 	reg := saga.NewRegistry()
 	ds := data.NewService(data.Config{Clock: clock, DefaultLink: data.Link{Bandwidth: 100e6, Latency: 10 * time.Millisecond}})
 	for _, s := range sites {
@@ -44,12 +46,8 @@ func newEnv(t *testing.T, sites ...string) *env {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deadline := time.Now().Add(2 * time.Second)
-		for p.State() != core.PilotRunning {
-			if time.Now().After(deadline) {
-				t.Fatal("pilot never started")
-			}
-			time.Sleep(time.Millisecond)
+		if err := p.WaitRunning(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return e

@@ -30,7 +30,7 @@ type Config struct {
 	// Bandwidth is the modeled memory bandwidth in bytes per second;
 	// zero means 10 GB/s.
 	Bandwidth float64
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies modeled time (required; a *vclock.Virtual).
 	Clock vclock.Clock
 }
 
@@ -71,9 +71,6 @@ func NewCache(cfg Config) *Cache {
 	}
 	if cfg.Bandwidth <= 0 {
 		cfg.Bandwidth = 10e9
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewReal()
 	}
 	return &Cache{
 		cfg:   cfg,

@@ -4,20 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"gopilot/internal/vclock"
 )
 
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
+// fastClock returns a virtual clock with the test goroutine adopted as a
+// participant until the test ends.
+func fastClock(t *testing.T) *vclock.Virtual {
+	v := vclock.NewVirtual(vclock.Epoch)
+	v.Adopt()
+	t.Cleanup(v.Leave)
+	return v
+}
 
-func newCache(capacity int64) *Cache {
-	return NewCache(Config{Name: "c", CapacityBytes: capacity, Bandwidth: 10e9, Clock: fastClock()})
+func newCache(t *testing.T, capacity int64) *Cache {
+	return NewCache(Config{Name: "c", CapacityBytes: capacity, Bandwidth: 10e9, Clock: fastClock(t)})
 }
 
 func TestPutGet(t *testing.T) {
-	c := newCache(1 << 20)
+	c := newCache(t, 1<<20)
 	if err := c.Put(context.Background(), "k", 42, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +38,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestMissCounts(t *testing.T) {
-	c := newCache(1 << 20)
+	c := newCache(t, 1<<20)
 	_, ok, _ := c.Get(context.Background(), "absent")
 	if ok {
 		t.Fatal("phantom hit")
@@ -46,7 +52,7 @@ func TestMissCounts(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := newCache(300)
+	c := newCache(t, 300)
 	ctx := context.Background()
 	c.Put(ctx, "a", "A", 100)
 	c.Put(ctx, "b", "B", 100)
@@ -69,7 +75,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestUpdateExistingKeyAdjustsResident(t *testing.T) {
-	c := newCache(1000)
+	c := newCache(t, 1000)
 	ctx := context.Background()
 	c.Put(ctx, "k", "v1", 100)
 	c.Put(ctx, "k", "v2", 300)
@@ -86,21 +92,21 @@ func TestUpdateExistingKeyAdjustsResident(t *testing.T) {
 }
 
 func TestTooLargeRejected(t *testing.T) {
-	c := newCache(100)
+	c := newCache(t, 100)
 	if err := c.Put(context.Background(), "k", "v", 200); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestNegativeSizeRejected(t *testing.T) {
-	c := newCache(100)
+	c := newCache(t, 100)
 	if err := c.Put(context.Background(), "k", "v", -1); err == nil {
 		t.Fatal("negative size accepted")
 	}
 }
 
 func TestGetOrLoad(t *testing.T) {
-	c := newCache(1 << 20)
+	c := newCache(t, 1<<20)
 	loads := 0
 	load := func(context.Context) (any, error) {
 		loads++
@@ -120,7 +126,7 @@ func TestGetOrLoad(t *testing.T) {
 }
 
 func TestGetOrLoadPropagatesLoadError(t *testing.T) {
-	c := newCache(1 << 20)
+	c := newCache(t, 1<<20)
 	boom := errors.New("boom")
 	if _, err := c.GetOrLoad(context.Background(), "k", 100, func(context.Context) (any, error) {
 		return nil, boom
@@ -130,7 +136,7 @@ func TestGetOrLoadPropagatesLoadError(t *testing.T) {
 }
 
 func TestGetOrLoadValueTooLargeStillServed(t *testing.T) {
-	c := newCache(100)
+	c := newCache(t, 100)
 	v, err := c.GetOrLoad(context.Background(), "k", 1000, func(context.Context) (any, error) {
 		return "big", nil
 	})
@@ -143,7 +149,7 @@ func TestGetOrLoadValueTooLargeStillServed(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	c := newCache(1000)
+	c := newCache(t, 1000)
 	c.Put(context.Background(), "k", "v", 100)
 	c.Delete("k")
 	if c.Len() != 0 || c.Resident() != 0 {
@@ -153,7 +159,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestHitRate(t *testing.T) {
-	c := newCache(1000)
+	c := newCache(t, 1000)
 	ctx := context.Background()
 	c.Put(ctx, "k", "v", 10)
 	c.Get(ctx, "k")
@@ -165,11 +171,13 @@ func TestHitRate(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := newCache(1 << 20)
-	var wg sync.WaitGroup
+	clock := fastClock(t)
+	c := NewCache(Config{Name: "c", CapacityBytes: 1 << 20, Bandwidth: 10e9, Clock: clock})
+	wg := vclock.NewGroup(clock)
 	for g := 0; g < 8; g++ {
+		g := g
 		wg.Add(1)
-		go func(g int) {
+		clock.Go(func() {
 			defer wg.Done()
 			ctx := context.Background()
 			for i := 0; i < 50; i++ {
@@ -178,7 +186,7 @@ func TestConcurrentAccess(t *testing.T) {
 				c.Get(ctx, key)
 				c.GetOrLoad(ctx, key, 64, func(context.Context) (any, error) { return i, nil })
 			}
-		}(g)
+		})
 	}
 	wg.Wait()
 	if c.Resident() > c.Capacity() {

@@ -36,7 +36,9 @@ func TestTaskWorkloadUnits(t *testing.T) {
 }
 
 func TestSubmitAndWaitMeasuresMakespan(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	t.Cleanup(clock.Leave)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 8, clock))
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock})

@@ -36,9 +36,6 @@ type LocalService struct {
 // NewLocalService creates a local service with the given core capacity
 // (capacity is advisory; local jobs are never queued).
 func NewLocalService(name string, cores int, clock vclock.Clock) *LocalService {
-	if clock == nil {
-		clock = vclock.NewReal()
-	}
 	if name == "" {
 		name = "localhost"
 	}
@@ -130,9 +127,6 @@ type HPCService struct {
 
 // NewHPCService wraps an hpc.Cluster.
 func NewHPCService(c *hpc.Cluster, clock vclock.Clock) *HPCService {
-	if clock == nil {
-		clock = vclock.NewReal()
-	}
 	return &HPCService{cluster: c, clock: clock}
 }
 
@@ -218,9 +212,6 @@ type HTCService struct {
 
 // NewHTCService wraps an htc.Pool.
 func NewHTCService(p *htc.Pool, clock vclock.Clock) *HTCService {
-	if clock == nil {
-		clock = vclock.NewReal()
-	}
 	return &HTCService{pool: p, clock: clock}
 }
 
@@ -392,9 +383,6 @@ type CloudService struct {
 
 // NewCloudService wraps a cloud.Provider.
 func NewCloudService(p *cloud.Provider, clock vclock.Clock) *CloudService {
-	if clock == nil {
-		clock = vclock.NewReal()
-	}
 	return &CloudService{provider: p, clock: clock}
 }
 
@@ -482,9 +470,6 @@ type YarnService struct {
 // NewYarnService wraps a yarn.Cluster. coresPerContainer controls container
 // granularity (default 4).
 func NewYarnService(c *yarn.Cluster, coresPerContainer int, clock vclock.Clock) *YarnService {
-	if clock == nil {
-		clock = vclock.NewReal()
-	}
 	if coresPerContainer <= 0 {
 		coresPerContainer = 4
 	}

@@ -4,7 +4,8 @@
 // fork, HPC batch, HTC pool, IaaS cloud, YARN). The pilot layer (package
 // core) submits *pilots* as SAGA jobs; applications may also submit tasks
 // directly, which is the "no pilot" baseline in the late-binding
-// experiments (E9).
+// experiments (E9). Every adaptor constructor takes the clock its jobs run
+// on; it is required and must be a *vclock.Virtual.
 package saga
 
 import (

@@ -15,7 +15,14 @@ import (
 	"gopilot/internal/vclock"
 )
 
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
+// fastClock returns a virtual clock with the test goroutine adopted as a
+// participant until the test ends.
+func fastClock(t *testing.T) *vclock.Virtual {
+	v := vclock.NewVirtual(vclock.Epoch)
+	v.Adopt()
+	t.Cleanup(v.Leave)
+	return v
+}
 
 func sleeper(d time.Duration, clock vclock.Clock) infra.Payload {
 	return func(ctx context.Context, _ infra.Allocation) error {
@@ -42,7 +49,7 @@ func TestJobStateString(t *testing.T) {
 }
 
 func TestLocalServiceRunsJob(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	s := NewLocalService("lh", 8, clock)
 	defer s.Close()
 	var gotCores int
@@ -70,7 +77,7 @@ func TestLocalServiceRunsJob(t *testing.T) {
 }
 
 func TestLocalServiceFailure(t *testing.T) {
-	s := NewLocalService("lh", 8, fastClock())
+	s := NewLocalService("lh", 8, fastClock(t))
 	defer s.Close()
 	boom := errors.New("boom")
 	j, _ := s.Submit(Description{Payload: func(context.Context, infra.Allocation) error { return boom }})
@@ -81,16 +88,16 @@ func TestLocalServiceFailure(t *testing.T) {
 }
 
 func TestLocalServiceCancel(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	s := NewLocalService("lh", 8, clock)
 	defer s.Close()
-	started := make(chan struct{})
+	started := vclock.NewEvent(clock)
 	j, _ := s.Submit(Description{Payload: func(ctx context.Context, _ infra.Allocation) error {
-		close(started)
-		<-ctx.Done()
+		started.Fire()
+		clock.Sleep(ctx, 24*time.Hour)
 		return ctx.Err()
 	}})
-	<-started
+	started.Wait(context.Background())
 	j.Cancel()
 	state, _ := j.Wait(context.Background())
 	if state != Canceled {
@@ -99,7 +106,7 @@ func TestLocalServiceCancel(t *testing.T) {
 }
 
 func TestLocalServiceWalltime(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	s := NewLocalService("lh", 8, clock)
 	defer s.Close()
 	j, _ := s.Submit(Description{Walltime: 2 * time.Second, Payload: sleeper(time.Hour, clock)})
@@ -110,7 +117,7 @@ func TestLocalServiceWalltime(t *testing.T) {
 }
 
 func TestHPCServiceRoundsUpNodes(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	cluster := hpc.New(hpc.Config{Name: "hp", Nodes: 8, CoresPerNode: 16, Clock: clock})
 	defer cluster.Shutdown()
 	s := NewHPCService(cluster, clock)
@@ -136,7 +143,7 @@ func TestHPCServiceRoundsUpNodes(t *testing.T) {
 }
 
 func TestHPCServiceWalltimeBecomesFailed(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	cluster := hpc.New(hpc.Config{Name: "hp", Nodes: 1, CoresPerNode: 1, Clock: clock})
 	defer cluster.Shutdown()
 	s := NewHPCService(cluster, clock)
@@ -148,7 +155,7 @@ func TestHPCServiceWalltimeBecomesFailed(t *testing.T) {
 }
 
 func TestHTCServiceCoalescesSlots(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	pool := htc.New(htc.Config{Name: "osg", Slots: 8, MatchDelay: dist.Constant(0.5), Clock: clock})
 	defer pool.Shutdown()
 	s := NewHTCService(pool, clock)
@@ -175,7 +182,7 @@ func TestHTCServiceCoalescesSlots(t *testing.T) {
 }
 
 func TestCloudServiceProvisionsEnoughVMs(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	p := cloud.New(cloud.Config{
 		Name:      "ec2",
 		Types:     []cloud.VMType{{Name: "std", Cores: 4, PricePerHour: 0.1}},
@@ -208,7 +215,7 @@ func TestCloudServiceProvisionsEnoughVMs(t *testing.T) {
 }
 
 func TestYarnServiceNegotiatesContainers(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	c := yarn.New(yarn.Config{Name: "y", TotalCores: 32, AllocDelay: dist.Constant(0.01), Clock: clock})
 	defer c.Shutdown()
 	s := NewYarnService(c, 4, clock)
@@ -236,7 +243,7 @@ func TestYarnServiceNegotiatesContainers(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	r := NewRegistry()
 	local := NewLocalService("a", 4, clock)
 	r.Register(local)
@@ -254,7 +261,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestNilPayloadRejectedEverywhere(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	cluster := hpc.New(hpc.Config{Name: "x", Clock: clock})
 	defer cluster.Shutdown()
 	pool := htc.New(htc.Config{Name: "x", Clock: clock})

@@ -72,12 +72,10 @@ type fedTopic struct {
 	// rr is the round-robin cursor for key-less publishes. It is shared
 	// mutable state across all producers of the topic, advanced under the
 	// cluster lock while a batch's partitions are being assigned — so
-	// placement is a pure function of the topic-wide publish order. On
-	// vclock.Virtual that order is seed-determined, which makes key-less
-	// placement bit-identical across same-seed runs
-	// (TestKeylessPlacementDeterministicAcrossProducers); on real clocks
-	// concurrent producers race for the cursor and placement is only
-	// guaranteed to stay balanced, not reproducible.
+	// placement is a pure function of the topic-wide publish order. That
+	// order is seed-determined, which makes key-less placement
+	// bit-identical across same-seed runs
+	// (TestKeylessPlacementDeterministicAcrossProducers).
 	rr int
 }
 
@@ -175,7 +173,7 @@ type ClusterConfig struct {
 	// not call back into the cluster. The chaos invariant checker uses
 	// this to prove consumer cursors never rewind.
 	OnCommit func(topic string, partition int, from, through int64)
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies modeled time (required; a *vclock.Virtual).
 	Clock vclock.Clock
 }
 
@@ -216,9 +214,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 	if cfg.CatchupBytesPerSec <= 0 {
 		cfg.CatchupBytesPerSec = 64 << 20
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewReal()
 	}
 	if cfg.Offsets == nil {
 		cfg.Offsets = NewOffsetStore()
@@ -960,7 +955,7 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 				}
 			}
 			c.mu.Unlock()
-			if !c.parkData(lb, topicName, q, fEnd) {
+			if !c.parkData(lb, topicName, q) {
 				return
 			}
 			continue
@@ -1026,10 +1021,12 @@ func (c *Cluster) parkCtrl() bool {
 	return !c.isClosed()
 }
 
-// parkData parks the calling runner until the leader's log grows past
-// end, the control plane changes, or the cluster closes. Returns false
-// when the runner should exit.
-func (c *Cluster) parkData(lb *shardLog, topicName string, q int, end int64) bool {
+// parkData parks the calling runner until the leader's log grows, the
+// control plane changes, or the cluster closes. The caller has just seen
+// the follower caught up, on the token, and nothing since has parked, so
+// no append can slip in before the registrations. Returns false when the
+// runner should exit.
+func (c *Cluster) parkData(lb *shardLog, topicName string, q int) bool {
 	w := vclock.NewEvent(c.clock)
 	lb.registerFetchWaiter(topicName, q, w)
 	c.mu.Lock()
@@ -1040,12 +1037,6 @@ func (c *Cluster) parkData(lb *shardLog, topicName string, q int, end int64) boo
 	}
 	registerEvent(&c.ctrl, w)
 	c.mu.Unlock()
-	// Registered on both lists: re-check the condition to close the
-	// register-vs-append race on real clocks.
-	if e, err := lb.EndOffset(topicName, q); err != nil || e > end {
-		w.Fire()
-		return true
-	}
 	if !w.Wait(c.runCtx) {
 		w.Fire()
 		return false

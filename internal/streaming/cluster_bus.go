@@ -394,7 +394,6 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 	if !c.clock.Sleep(ctx, c.cfg.FetchLatency) {
 		return 0, nil, ctx.Err()
 	}
-	ackedSeen := make([]int64, len(parts))
 	for {
 		var w *vclock.Event
 		retry := false
@@ -412,7 +411,6 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 			blocked := p.stalled || !p.availableAt.IsZero()
 			leader := p.replicas[0]
 			acked := p.acked
-			ackedSeen[j] = acked
 			if blocked {
 				if w == nil {
 					w = vclock.NewEvent(c.clock)
@@ -467,21 +465,9 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 			registerEvent(&c.ctrl, w)
 			c.mu.Unlock()
 		}
-		// Close the register-vs-watermark race on real clocks: if any
-		// partition's watermark moved past what this round's view check
-		// used, the advance may have fired the waiter lists before we
-		// registered — re-scan instead of parking.
-		if !retry {
-			c.mu.Lock()
-			for i := 0; i < len(parts); i++ {
-				j := (start + i) % len(parts)
-				if _, p, err := c.fedPartition(topicName, parts[j]); err == nil && p.acked > ackedSeen[j] {
-					retry = true
-					break
-				}
-			}
-			c.mu.Unlock()
-		}
+		// No watermark can advance between this round's view checks and
+		// the registrations above: nothing here parks, so no other
+		// participant runs in between.
 		if retry {
 			if w != nil {
 				w.Fire()

@@ -15,8 +15,9 @@ import (
 // function of configuration: two clusters built the same way place every
 // partition identically, and leaders spread across the ring.
 func TestClusterPlacementDeterministic(t *testing.T) {
+	clock := fastClock(t)
 	build := func() *Cluster {
-		c := NewCluster(ClusterConfig{Shards: 3, Replication: 2})
+		c := NewCluster(ClusterConfig{Shards: 3, Replication: 2, Clock: clock})
 		if err := c.CreateTopic("events", 6); err != nil {
 			t.Fatal(err)
 		}

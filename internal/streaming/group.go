@@ -357,9 +357,9 @@ func (g *Group) run(tc core.TaskContext, ordinal int, jitter dist.Dist) error {
 			// install a successor that inherits this ordinal through the
 			// waitFor carry-forward — acking the stale epoch and exiting
 			// would then leave the successor's barrier waiting forever on a
-			// worker that is gone. (vclock.Virtual's single-runner token
-			// makes that window unreachable; on real clocks it is a genuine
-			// race.)
+			// worker that is gone. (The executor's single-runner token makes
+			// that window unreachable today; the lock keeps the ack correct
+			// without leaning on it.)
 			dropWaitLocked(gen, ordinal)
 			acked = gen.id
 		}

@@ -88,8 +88,10 @@ func TestOffsetStoreConcurrentSavesStayMonotonic(t *testing.T) {
 	s.OnSave(func(group, topic string, partition int) {
 		// Load inside the callback observes the store after the applied
 		// save; values must never run backwards from a subscriber's view.
-		v, ok := s.Load(group, topic, partition)
+		// The load happens under mu so that the observations are compared
+		// in the order they were made.
 		mu.Lock()
+		v, ok := s.Load(group, topic, partition)
 		if !ok || v < lastSeen {
 			rewinds++
 		} else {

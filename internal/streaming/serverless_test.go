@@ -23,7 +23,7 @@ func newPlatform(clock vclock.Clock) *serverless.Platform {
 }
 
 func TestServerlessProcessorConsumesAll(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 4)
@@ -75,7 +75,7 @@ func TestServerlessProcessorConsumesAll(t *testing.T) {
 }
 
 func TestServerlessValidation(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -93,7 +93,7 @@ func TestServerlessValidation(t *testing.T) {
 }
 
 func TestServerlessColdStartShowsInLatency(t *testing.T) {
-	clock := vclock.NewScaled(500)
+	clock := fastClock(t)
 	b := single(ClusterConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -137,7 +137,7 @@ func TestServerlessColdStartShowsInLatency(t *testing.T) {
 }
 
 func TestServerlessStopTerminates(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 2)
@@ -150,14 +150,14 @@ func TestServerlessStopTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
+	stopped := vclock.NewEvent(clock)
+	clock.Go(func() {
 		proc.Stop()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
+		stopped.Fire()
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if !stopped.Wait(ctx) {
 		t.Fatal("Stop hung")
 	}
 }

@@ -14,7 +14,14 @@ import (
 	"gopilot/internal/vclock"
 )
 
-func fastClock() *vclock.Scaled { return vclock.NewScaled(2000) }
+// fastClock returns a virtual clock with the test goroutine adopted as a
+// participant until the test ends.
+func fastClock(t *testing.T) *vclock.Virtual {
+	v := vclock.NewVirtual(vclock.Epoch)
+	v.Adopt()
+	t.Cleanup(v.Leave)
+	return v
+}
 
 // single builds the standalone deployment every non-replicated test
 // runs on: a one-shard cluster with no replicas.
@@ -23,7 +30,7 @@ func single(cfg ClusterConfig) *Cluster {
 	return NewCluster(cfg)
 }
 
-func newBroker(clock *vclock.Scaled) *Cluster {
+func newBroker(clock vclock.Clock) *Cluster {
 	return single(ClusterConfig{
 		Name:         "b",
 		AppendCost:   time.Millisecond, // 1000 msg/s per partition
@@ -33,7 +40,7 @@ func newBroker(clock *vclock.Scaled) *Cluster {
 }
 
 func TestCreateTopicAndPartitions(t *testing.T) {
-	b := newBroker(fastClock())
+	b := newBroker(fastClock(t))
 	defer b.Close()
 	if err := b.CreateTopic("t", 4); err != nil {
 		t.Fatal(err)
@@ -55,7 +62,7 @@ func TestCreateTopicAndPartitions(t *testing.T) {
 }
 
 func TestPublishFetchRoundTrip(t *testing.T) {
-	b := newBroker(fastClock())
+	b := newBroker(fastClock(t))
 	defer b.Close()
 	b.CreateTopic("t", 1)
 	m, err := b.Publish(context.Background(), "t", []byte("k"), []byte("v"))
@@ -75,7 +82,7 @@ func TestPublishFetchRoundTrip(t *testing.T) {
 }
 
 func TestPerPartitionOrdering(t *testing.T) {
-	b := newBroker(fastClock())
+	b := newBroker(fastClock(t))
 	defer b.Close()
 	b.CreateTopic("t", 2)
 	key := []byte("same-key")
@@ -98,7 +105,7 @@ func TestPerPartitionOrdering(t *testing.T) {
 }
 
 func TestKeylessPublishesSpreadRoundRobin(t *testing.T) {
-	b := newBroker(fastClock())
+	b := newBroker(fastClock(t))
 	defer b.Close()
 	b.CreateTopic("t", 4)
 	counts := make(map[int]int)
@@ -117,51 +124,55 @@ func TestKeylessPublishesSpreadRoundRobin(t *testing.T) {
 }
 
 func TestFetchLongPollWakesOnPublish(t *testing.T) {
-	b := newBroker(fastClock())
+	clock := fastClock(t)
+	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 1)
-	got := make(chan []Message, 1)
-	go func() {
-		msgs, err := b.Fetch(context.Background(), "t", 0, 0, 10)
-		if err != nil {
+	var msgs []Message
+	got := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer got.Fire()
+		var err error
+		if msgs, err = b.Fetch(context.Background(), "t", 0, 0, 10); err != nil {
 			t.Error(err)
 		}
-		got <- msgs
-	}()
-	time.Sleep(20 * time.Millisecond)
+	})
+	clock.Sleep(context.Background(), time.Minute)
 	b.Publish(context.Background(), "t", nil, []byte("wake"))
-	select {
-	case msgs := <-got:
-		if len(msgs) != 1 || string(msgs[0].Value) != "wake" {
-			t.Fatalf("msgs = %+v", msgs)
-		}
-	case <-time.After(2 * time.Second):
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if !got.Wait(ctx) {
 		t.Fatal("long poll never woke")
+	}
+	if len(msgs) != 1 || string(msgs[0].Value) != "wake" {
+		t.Fatalf("msgs = %+v", msgs)
 	}
 }
 
 func TestFetchAfterCloseReturnsError(t *testing.T) {
-	b := newBroker(fastClock())
+	clock := fastClock(t)
+	b := newBroker(clock)
 	b.CreateTopic("t", 1)
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := b.Fetch(context.Background(), "t", 0, 0, 10)
-		errCh <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
+	var err error
+	returned := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer returned.Fire()
+		_, err = b.Fetch(context.Background(), "t", 0, 0, 10)
+	})
+	clock.Sleep(context.Background(), time.Minute)
 	b.Close()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrBrokerClosed) {
-			t.Fatalf("err = %v, want ErrBrokerClosed", err)
-		}
-	case <-time.After(2 * time.Second):
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if !returned.Wait(ctx) {
 		t.Fatal("fetch never returned after close")
+	}
+	if !errors.Is(err, ErrBrokerClosed) {
+		t.Fatalf("err = %v, want ErrBrokerClosed", err)
 	}
 }
 
 func TestUnknownTopicErrors(t *testing.T) {
-	b := newBroker(fastClock())
+	b := newBroker(fastClock(t))
 	defer b.Close()
 	if _, err := b.Publish(context.Background(), "ghost", nil, nil); !errors.Is(err, ErrUnknownTopic) {
 		t.Fatalf("err = %v", err)
@@ -219,7 +230,7 @@ func TestMorePartitionsRaiseCapacity(t *testing.T) {
 	}
 }
 
-func newStreamEnv(t *testing.T, clock *vclock.Scaled, cores int) *core.Manager {
+func newStreamEnv(t *testing.T, clock vclock.Clock, cores int) *core.Manager {
 	t.Helper()
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("sp", cores, clock))
@@ -229,18 +240,14 @@ func newStreamEnv(t *testing.T, clock *vclock.Scaled, cores int) *core.Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.State() != core.PilotRunning {
-		if time.Now().After(deadline) {
-			t.Fatal("pilot never started")
-		}
-		time.Sleep(time.Millisecond)
+	if err := p.WaitRunning(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	return mgr
 }
 
 func TestProcessorConsumesAll(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 4)
@@ -286,7 +293,7 @@ func TestProcessorConsumesAll(t *testing.T) {
 }
 
 func TestProcessorLatencyGrowsWithSlowHandler(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -319,7 +326,7 @@ func TestProcessorLatencyGrowsWithSlowHandler(t *testing.T) {
 }
 
 func TestProcessorValidation(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -367,7 +374,7 @@ func TestWindowPanicsOnBadWidth(t *testing.T) {
 }
 
 func TestProduceAtRate(t *testing.T) {
-	clock := fastClock()
+	clock := fastClock(t)
 	b := single(ClusterConfig{AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 4)
@@ -386,7 +393,7 @@ func TestProduceAtRate(t *testing.T) {
 func TestFetchSegmentBoundaries(t *testing.T) {
 	b := single(ClusterConfig{
 		AppendCost: time.Microsecond, FetchLatency: time.Microsecond,
-		SegmentSize: 4, Clock: fastClock(),
+		SegmentSize: 4, Clock: fastClock(t),
 	})
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -427,7 +434,7 @@ func TestFetchSegmentBoundaries(t *testing.T) {
 func TestFetchViewStableWhileAppending(t *testing.T) {
 	b := single(ClusterConfig{
 		AppendCost: time.Microsecond, FetchLatency: time.Microsecond,
-		SegmentSize: 8, Clock: fastClock(),
+		SegmentSize: 8, Clock: fastClock(t),
 	})
 	defer b.Close()
 	b.CreateTopic("t", 1)

@@ -97,21 +97,11 @@ func (c *Virtual) Computing() int {
 	return c.computing
 }
 
-// Compute runs fn as a parallel compute phase of c when c is a Virtual
-// clock (see Virtual.Compute for the purity contract and determinism
-// rules), and inline otherwise — on real and scaled clocks the caller's
-// goroutine already runs in parallel with everything else, so there is
-// nothing to release. Reports false, without running fn, when ctx is
-// already canceled.
+// Compute runs fn as a parallel compute phase of c (see Virtual.Compute
+// for the purity contract and determinism rules). Reports false, without
+// running fn, when ctx is already canceled.
 func Compute(c Clock, ctx context.Context, fn func()) bool {
-	if v, ok := c.(*Virtual); ok {
-		return v.Compute(ctx, fn)
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return false
-	}
-	fn()
-	return true
+	return c.(*Virtual).Compute(ctx, fn)
 }
 
 // computeSlots bounds the number of ComputePool bodies executing at once
@@ -127,8 +117,7 @@ var computeSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 // ComputePool fans pure CPU closures out across up to GOMAXPROCS workers
 // and joins them deterministically: Go starts a body immediately on a
 // pool worker (off-token, so it overlaps both the caller's on-token work
-// and other bodies), and Wait parks the caller — through Compute on a
-// Virtual clock — until every body has finished, re-entering the schedule
+// and other bodies), and Wait parks the caller — through Compute — until every body has finished, re-entering the schedule
 // at the same virtual instant. Bodies obey the Compute purity contract;
 // their results must only be observed after Wait returns.
 //
@@ -159,8 +148,7 @@ func (p *ComputePool) Go(fn func()) {
 }
 
 // Wait joins the pool: it blocks until every body started with Go has
-// finished, releasing the execution token while it waits (on a Virtual
-// clock) and rejoining at the same virtual instant. Reports false,
+// finished, releasing the execution token while it waits and rejoining at the same virtual instant. Reports false,
 // without waiting, when ctx is already canceled — the bodies still run to
 // completion in the background, so a canceled caller must not reuse or
 // observe the pool afterwards.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -197,28 +196,6 @@ func TestComputePoolDeterministicJoin(t *testing.T) {
 		if got := run(seed); got != ref {
 			t.Fatalf("pool results varied with completion jitter:\nref %s\ngot %s", ref, got)
 		}
-	}
-}
-
-// TestComputeNonVirtualDegrades checks the package-level helper on a
-// non-virtual clock: inline execution, cancellation respected.
-func TestComputeNonVirtualDegrades(t *testing.T) {
-	ran := false
-	if !Compute(NewReal(), context.Background(), func() { ran = true }) || !ran {
-		t.Error("Compute on Real clock did not run inline")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if Compute(NewReal(), ctx, func() { t.Error("fn ran despite canceled ctx") }) {
-		t.Error("Compute on Real clock ignored cancellation")
-	}
-	pool := NewComputePool(NewScaled(100))
-	var n atomic.Int32
-	for i := 0; i < 8; i++ {
-		pool.Go(func() { n.Add(1) })
-	}
-	if !pool.Wait(context.Background()) || n.Load() != 8 {
-		t.Errorf("pool on scaled clock: wait ok, n=%d want 8", n.Load())
 	}
 }
 

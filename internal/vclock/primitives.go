@@ -7,22 +7,15 @@ import (
 
 // This file provides the clock-aware synchronization primitives that the
 // runtime layers (core, saga, infra, streaming) use instead of bare
-// channels. On a *Virtual clock they participate in the executor's token
-// handoff — a parked waiter is quiescent, and a waker makes waiters
-// runnable *before* it can itself park, so virtual time never advances
-// past a pending wake-up. On every other Clock they degrade to the plain
-// channel behavior they replace.
+// channels. They participate in the Virtual executor's token handoff — a
+// parked waiter is quiescent, and a waker makes waiters runnable *before*
+// it can itself park, so virtual time never advances past a pending
+// wake-up. Each takes the component's Clock, which must be a *Virtual.
 
-// Go spawns fn as a participant of c when c is a Virtual clock, and as a
-// plain goroutine otherwise. Every goroutine spawned by a component that
-// sleeps or synchronizes on its clock must be started this way.
-func Go(c Clock, fn func()) {
-	if v, ok := c.(*Virtual); ok {
-		v.Go(fn)
-		return
-	}
-	go fn()
-}
+// Go spawns fn as a participant of c. Every goroutine spawned by a
+// component that sleeps or synchronizes on its clock must be started this
+// way.
+func Go(c Clock, fn func()) { c.(*Virtual).Go(fn) }
 
 // Notifier is a level-triggered wake-up signal, the clock-aware
 // replacement for the `make(chan struct{}, 1)` kick-channel idiom. Set
@@ -33,35 +26,15 @@ type Notifier struct {
 
 	mu      sync.Mutex
 	set     bool
-	waiters []*parker     // virtual-mode waiter list
-	nwait   int           // non-virtual: waiters on the current generation
-	gen     chan struct{} // non-virtual: closed (and replaced) per Set
+	waiters []*parker
 }
 
 // NewNotifier creates a Notifier for the given clock.
-func NewNotifier(c Clock) *Notifier {
-	n := &Notifier{}
-	if v, ok := c.(*Virtual); ok {
-		n.v = v
-	}
-	return n
-}
+func NewNotifier(c Clock) *Notifier { return &Notifier{v: c.(*Virtual)} }
 
 // Set signals the notifier: every currently parked waiter becomes
 // runnable; with no (live) waiter the signal is latched for the next Wait.
 func (n *Notifier) Set() {
-	if n.v == nil {
-		n.mu.Lock()
-		if n.nwait > 0 {
-			close(n.gen) // broadcast to the whole generation
-			n.gen = nil
-			n.nwait = 0
-		} else {
-			n.set = true
-		}
-		n.mu.Unlock()
-		return
-	}
 	n.mu.Lock()
 	ws := n.waiters
 	n.waiters = nil
@@ -88,28 +61,6 @@ func (n *Notifier) Wait(ctx context.Context) bool {
 		n.set = false
 		n.mu.Unlock()
 		return true
-	}
-	if n.v == nil {
-		if n.gen == nil {
-			n.gen = make(chan struct{})
-		}
-		ch := n.gen
-		n.nwait++
-		n.mu.Unlock()
-		select {
-		case <-ch:
-			return true
-		case <-ctx.Done():
-			n.mu.Lock()
-			if n.gen != ch {
-				// Our generation was broadcast concurrently: signaled.
-				n.mu.Unlock()
-				return true
-			}
-			n.nwait--
-			n.mu.Unlock()
-			return false
-		}
 	}
 	r := n.v.newParker(ctx)
 	n.waiters = append(n.waiters, r)
@@ -138,11 +89,7 @@ type Event struct {
 
 // NewEvent creates an Event for the given clock.
 func NewEvent(c Clock) *Event {
-	e := &Event{ch: make(chan struct{})}
-	if v, ok := c.(*Virtual); ok {
-		e.v = v
-	}
-	return e
+	return &Event{v: c.(*Virtual), ch: make(chan struct{})}
 }
 
 // Fire marks the event and wakes every waiter. Safe to call repeatedly.
@@ -175,14 +122,6 @@ func (e *Event) Done() <-chan struct{} { return e.ch }
 
 // Wait parks until the event fires (true) or ctx is done (false).
 func (e *Event) Wait(ctx context.Context) bool {
-	if e.v == nil {
-		select {
-		case <-e.ch:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
 	e.mu.Lock()
 	if e.fired {
 		e.mu.Unlock()
@@ -206,28 +145,16 @@ func (e *Event) Wait(ctx context.Context) bool {
 type Group struct {
 	v *Virtual
 
-	wg sync.WaitGroup // non-virtual fallback
-
 	mu      sync.Mutex
 	n       int
 	waiters []*parker
 }
 
 // NewGroup creates a Group for the given clock.
-func NewGroup(c Clock) *Group {
-	g := &Group{}
-	if v, ok := c.(*Virtual); ok {
-		g.v = v
-	}
-	return g
-}
+func NewGroup(c Clock) *Group { return &Group{v: c.(*Virtual)} }
 
 // Add adds delta to the group counter.
 func (g *Group) Add(delta int) {
-	if g.v == nil {
-		g.wg.Add(delta)
-		return
-	}
 	g.mu.Lock()
 	g.n += delta
 	if g.n < 0 {
@@ -250,10 +177,6 @@ func (g *Group) Done() { g.Add(-1) }
 
 // Wait parks until the counter reaches zero.
 func (g *Group) Wait() {
-	if g.v == nil {
-		g.wg.Wait()
-		return
-	}
 	g.mu.Lock()
 	if g.n == 0 {
 		g.mu.Unlock()
@@ -272,35 +195,17 @@ type Sem struct {
 	v   *Virtual
 	cap int
 
-	ch chan struct{} // non-virtual fallback
-
 	mu      sync.Mutex
 	held    int
 	waiters []*parker
 }
 
 // NewSem creates a semaphore with n slots.
-func NewSem(c Clock, n int) *Sem {
-	s := &Sem{cap: n}
-	if v, ok := c.(*Virtual); ok {
-		s.v = v
-	} else {
-		s.ch = make(chan struct{}, n)
-	}
-	return s
-}
+func NewSem(c Clock, n int) *Sem { return &Sem{v: c.(*Virtual), cap: n} }
 
 // Acquire takes a slot, parking until one frees up; false means ctx ended
 // first.
 func (s *Sem) Acquire(ctx context.Context) bool {
-	if s.v == nil {
-		select {
-		case s.ch <- struct{}{}:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
 	s.mu.Lock()
 	if s.held < s.cap {
 		if ctx.Err() != nil {
@@ -329,10 +234,6 @@ func (s *Sem) Acquire(ctx context.Context) bool {
 
 // Release returns a slot, handing it to the longest-parked live waiter.
 func (s *Sem) Release() {
-	if s.v == nil {
-		<-s.ch
-		return
-	}
 	s.mu.Lock()
 	for len(s.waiters) > 0 {
 		r := s.waiters[0]

@@ -186,12 +186,8 @@ func (c *Virtual) Recording() bool {
 	return c.rec != nil
 }
 
-// Recording forwards to Virtual.Recording when c is a Virtual clock and
-// reports false otherwise (Mark is a no-op there).
-func Recording(c Clock) bool {
-	v, ok := c.(*Virtual)
-	return ok && v.Recording()
-}
+// Recording forwards to Virtual.Recording on c.
+func Recording(c Clock) bool { return c.(*Virtual).Recording() }
 
 // Mark records an application-level annotation as a scheduling decision.
 // No-op when recording is off. The seq argument is free-form (chaos uses
@@ -202,14 +198,9 @@ func (c *Virtual) Mark(note string, seq uint64) {
 	c.mu.Unlock()
 }
 
-// Mark forwards to Virtual.Mark when c is a Virtual clock and is a no-op
-// otherwise, mirroring the Go/Compute package-helper pattern so callers
-// need not switch on clock mode.
-func Mark(c Clock, note string, seq uint64) {
-	if v, ok := c.(*Virtual); ok {
-		v.Mark(note, seq)
-	}
-}
+// Mark forwards to Virtual.Mark on c, mirroring the Go/Compute
+// package-helper pattern so callers holding a Clock need not assert it.
+func Mark(c Clock, note string, seq uint64) { c.(*Virtual).Mark(note, seq) }
 
 // recordLocked appends one decision to the recorder. Caller holds c.mu.
 func (c *Virtual) recordLocked(kind TraceKind, seq uint64, note string) {

@@ -99,8 +99,8 @@ func TestRecorderWindowCapture(t *testing.T) {
 }
 
 // Marks enter the decision stream: note and seq are preserved, they
-// perturb the hash, and the package-level helper is a no-op on
-// non-virtual clocks and when recording is off.
+// perturb the hash, and the package-level helper is a no-op when
+// recording is off.
 func TestRecorderMark(t *testing.T) {
 	c := NewVirtual(Epoch)
 	c.Adopt()
@@ -120,7 +120,6 @@ func TestRecorderMark(t *testing.T) {
 	if c.RecorderState().Hash == noMark {
 		t.Fatal("mark did not perturb the hash chain")
 	}
-	Mark(NewReal(), "ignored", 0) // non-virtual: no-op
 }
 
 // Recording is off by default and StopRecorder discards state; RecorderState
@@ -144,7 +143,7 @@ func TestRecorderOffByDefault(t *testing.T) {
 	if s := c.RecorderState(); !reflect.DeepEqual(s, RecorderState{}) {
 		t.Fatalf("StopRecorder left state behind: %+v", s)
 	}
-	if Recording(c) || Recording(NewReal()) {
-		t.Fatal("Recording() true after StopRecorder or on a non-virtual clock")
+	if Recording(c) {
+		t.Fatal("Recording() true after StopRecorder")
 	}
 }

@@ -10,10 +10,9 @@ import (
 
 var virtualEpoch = Epoch
 
-// TestVirtualSleepExactElapsed pins the satellite regression from the
-// Scaled clock's old 1µs sleep floor: on the virtual clock, modeled
-// elapsed equals requested exactly, down to sub-resolution (sub-µs)
-// durations, and costs no modeled overhead between dense sleeps.
+// TestVirtualSleepExactElapsed pins that modeled elapsed equals
+// requested exactly, down to sub-resolution (sub-µs) durations, and
+// costs no modeled overhead between dense sleeps.
 func TestVirtualSleepExactElapsed(t *testing.T) {
 	c := NewVirtual(virtualEpoch)
 	c.Adopt()

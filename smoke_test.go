@@ -18,36 +18,32 @@ import (
 	"gopilot/internal/perfmodel"
 )
 
-// smokeScale is the scaled-clock compression factor; on the default
-// virtual clock it is inert (modeled sleeps cost zero wall time
-// regardless). Frame counts are trimmed for the streaming exhibits to
-// bound real CPU work.
-const smokeScale = 8000
-
 func tableOnly(tbl *metrics.Table, _ []string, err error) (*metrics.Table, error) {
 	return tbl, err
 }
 
 func TestSmokeAllExhibits(t *testing.T) {
+	// Frame and message counts are trimmed for the streaming exhibits to
+	// bound real CPU work.
 	exhibits := []struct {
 		id, name string
 		run      func() (*metrics.Table, error)
 	}{
-		{"E1", "Table1_Scenarios", func() (*metrics.Table, error) { return experiments.Table1(smokeScale) }},
-		{"E2", "PilotOverhead", func() (*metrics.Table, error) { return experiments.PilotOverhead(smokeScale, 16) }},
-		{"E3", "RexScaling", func() (*metrics.Table, error) { return experiments.RexScaling(smokeScale) }},
-		{"E4", "PilotData", func() (*metrics.Table, error) { return experiments.PilotData(smokeScale) }},
-		{"E5", "MapReduceScaling", func() (*metrics.Table, error) { return experiments.MapReduceScaling(smokeScale) }},
-		{"E6", "PilotMemory", func() (*metrics.Table, error) { return experiments.PilotMemory(smokeScale) }},
-		{"E7", "Streaming", func() (*metrics.Table, error) { return experiments.Streaming(smokeScale, 120) }},
-		{"E7b", "ServerlessStreaming", func() (*metrics.Table, error) { return experiments.ServerlessStreaming(smokeScale, 80) }},
-		{"E8", "ThroughputModel", func() (*metrics.Table, error) { return tableOnly(experiments.ThroughputModel(smokeScale, 80)) }},
-		{"E9", "LateBinding", func() (*metrics.Table, error) { return experiments.LateBinding(smokeScale) }},
-		{"E9b", "DynamicScaling", func() (*metrics.Table, error) { return experiments.DynamicScaling(smokeScale) }},
-		{"E10", "Fig5Loop", func() (*metrics.Table, error) { return tableOnly(experiments.Fig5Loop(smokeScale, 60)) }},
-		{"E11", "AblationAlgorithm", func() (*metrics.Table, error) { return experiments.AblationAlgorithm(smokeScale) }},
-		{"E12", "EnKFAdaptive", func() (*metrics.Table, error) { return experiments.EnKFAdaptive(smokeScale) }},
-		{"E13", "MillionMessages", func() (*metrics.Table, error) { return experiments.MillionMessages(smokeScale, 40_000) }},
+		{"E1", "Table1_Scenarios", experiments.Table1},
+		{"E2", "PilotOverhead", func() (*metrics.Table, error) { return experiments.PilotOverhead(16) }},
+		{"E3", "RexScaling", experiments.RexScaling},
+		{"E4", "PilotData", experiments.PilotData},
+		{"E5", "MapReduceScaling", experiments.MapReduceScaling},
+		{"E6", "PilotMemory", experiments.PilotMemory},
+		{"E7", "Streaming", func() (*metrics.Table, error) { return experiments.Streaming(120) }},
+		{"E7b", "ServerlessStreaming", func() (*metrics.Table, error) { return experiments.ServerlessStreaming(80) }},
+		{"E8", "ThroughputModel", func() (*metrics.Table, error) { return tableOnly(experiments.ThroughputModel(80)) }},
+		{"E9", "LateBinding", experiments.LateBinding},
+		{"E9b", "DynamicScaling", experiments.DynamicScaling},
+		{"E10", "Fig5Loop", func() (*metrics.Table, error) { return tableOnly(experiments.Fig5Loop(60)) }},
+		{"E11", "AblationAlgorithm", experiments.AblationAlgorithm},
+		{"E12", "EnKFAdaptive", experiments.EnKFAdaptive},
+		{"E13", "MillionMessages", func() (*metrics.Table, error) { return experiments.MillionMessages(40_000) }},
 	}
 	for _, ex := range exhibits {
 		t.Run(ex.id+"_"+ex.name, func(t *testing.T) {
