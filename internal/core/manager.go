@@ -96,6 +96,7 @@ type Manager struct {
 	recon       *plan.Reconciler
 	pilots      []*Pilot
 	units       []*ComputeUnit
+	live        []*ComputeUnit // non-terminal units in submission order; compacted by ReconcileOnce
 	pilotByID   map[string]*Pilot
 	unitByID    map[string]*ComputeUnit
 	nextPilotID int
@@ -300,6 +301,7 @@ func (m *Manager) SubmitUnit(d UnitDescription) (*ComputeUnit, error) {
 		done:      vclock.NewEvent(m.cfg.Clock),
 	}
 	m.units = append(m.units, u)
+	m.live = append(m.live, u)
 	m.unitByID[u.id] = u
 	m.planner.Admit(plan.UnitSpec{
 		ID:         u.id,
@@ -819,20 +821,31 @@ func (m *Manager) reconcileLoop() {
 // ReconcileOnce runs one desired-vs-actual scan and corrects every drift
 // confirmed by two consecutive scans (plan.Reconciler's anti-flap rule).
 // It returns the corrections applied, in deterministic order.
+//
+// The desired-state snapshot lists only the bound units: plan.DetectDrift
+// treats a unit missing from it exactly like a terminal or unbound one.
+// The scan walks the non-terminal units, reading every unit's state
+// (a pending unit's may have drifted), and drops the units that have
+// turned terminal, so its cost follows the live units, not every unit
+// ever submitted.
 func (m *Manager) ReconcileOnce() []plan.Drift {
 	m.mu.Lock()
-	units := make([]plan.UnitStatus, 0, len(m.units))
-	for _, u := range m.units {
+	var units []plan.UnitStatus // bound units only: usually far fewer than live
+	live := m.live[:0]
+	for _, u := range m.live {
 		u.mu.Lock()
-		st := plan.UnitStatus{ID: u.id, Terminal: u.state.Terminal()}
-		if u.pilot != nil && (u.state == UnitScheduled || u.state == UnitStaging || u.state == UnitRunning) {
-			st.Bound = true
-			st.Started = u.state != UnitScheduled
-			st.Pilot = u.pilot.id
-		}
+		state, pilot := u.state, u.pilot
 		u.mu.Unlock()
-		units = append(units, st)
+		if state.Terminal() {
+			continue
+		}
+		live = append(live, u)
+		if pilot != nil && (state == UnitScheduled || state == UnitStaging || state == UnitRunning) {
+			units = append(units, plan.UnitStatus{ID: u.id, Bound: true, Started: state != UnitScheduled, Pilot: pilot.id})
+		}
 	}
+	clear(m.live[len(live):])
+	m.live = live
 	pilots := make([]plan.PilotStatus, 0, len(m.pilots))
 	for _, p := range m.pilots {
 		p.mu.Lock()

@@ -91,10 +91,22 @@ func (e *poolExec) Bind(u UnitSpec, pilotID string) {
 	e.binds = append(e.binds, u.ID+"->"+pilotID)
 }
 
+// tickPlanner is the planner surface the scenarios drive: Planner, and
+// the linear refPlanner it must agree with tick for tick.
+type tickPlanner interface {
+	Admit(spec UnitSpec)
+	Forget(id string)
+	Plan(now time.Time, ex Executor) time.Time
+	NoteFailure(id string, class FailureClass, now time.Time) Verdict
+	PendingLen() int
+	DrainPending() []string
+	Watermarks() map[string]Watermark
+}
+
 // gateWorld is one planner driving one pool, plus the units it has bound
 // and not yet returned.
 type gateWorld struct {
-	p           *Planner
+	p           tickPlanner
 	ex          *poolExec
 	running     []string // bound unit IDs, in bind order
 	at          map[string]int
@@ -102,7 +114,9 @@ type gateWorld struct {
 	policyCalls int
 }
 
-func newGateWorld(seed int64, maxFree func(*poolExec) int) *gateWorld {
+// newGateWorld builds a world around a Planner, or around the reference
+// planner when ref is set.
+func newGateWorld(seed int64, maxFree func(*poolExec) int, ref bool) *gateWorld {
 	w := &gateWorld{
 		ex: &poolExec{maxFree: maxFree, pilots: []poolPilot{
 			{Candidate{ID: "p0", Backend: "hpc://a", FreeCores: 16}, true, false},
@@ -128,7 +142,12 @@ func newGateWorld(seed int64, maxFree func(*poolExec) int) *gateWorld {
 		}
 		return best.ID
 	}
-	w.p = New(Config{Stream: dist.NewStream(seed), Policy: policy, Backoff: Backoff{Initial: 3 * time.Second}})
+	cfg := Config{Stream: dist.NewStream(seed), Policy: policy, Backoff: Backoff{Initial: 3 * time.Second, Max: 30 * time.Second}}
+	if ref {
+		w.p = newRefPlanner(cfg)
+	} else {
+		w.p = New(cfg)
+	}
 	return w
 }
 
@@ -157,26 +176,43 @@ func (w *gateWorld) plan(now time.Time) string {
 		w.running = append(w.running, id)
 		w.at[id] = slices.IndexFunc(w.ex.pilots, func(p poolPilot) bool { return p.ID == pilot })
 	}
-	return fmt.Sprintf("binds=%v next=%v pending=%d policy=%d",
-		w.ex.binds[from:], next, w.p.PendingLen(), w.policyCalls)
+	return fmt.Sprintf("binds=%v next=%v pending=%d policy=%d watermarks=%v",
+		w.ex.binds[from:], next, w.p.PendingLen(), w.policyCalls, w.p.Watermarks())
 }
 
-// runGateScenario drives a gated world (bound from maxFree) and an
-// ungated one through the same seeded history — arrivals with mixed
-// Cores, completions, failures into retry backoff, cancellations, an
-// outage that flips on and off, and a pilot that starts late — and
-// returns the first tick whose outcome differs.
+// runGateScenario drives three worlds through the same seeded history: a
+// Planner gated by maxFree, a Planner with the gate off, and the linear
+// reference planner gated by maxFree. The history mixes arrivals with
+// mixed Cores, completions, failures into retry backoff, cancellations,
+// an outage that flips on and off, a pilot that starts late, policy
+// deferrals, repeated failures of the unit at the head of the queue
+// (which park it there under ever longer backoffs and leave its older
+// retry entries stale), cancellation of that head unit, and a
+// DrainPending part-way through. It returns the first tick whose outcome
+// differs: every tick's binds, wake instant, pending count, policy calls
+// and watermarks must match across all three, and the gated Planner must
+// also match the reference's Candidates calls and retry verdicts.
 func runGateScenario(seed int64, maxFree func(*poolExec) int) error {
-	gated, ref := newGateWorld(seed, maxFree), newGateWorld(seed, noGate)
-	worlds := []*gateWorld{gated, ref}
+	gated, ungated, ref := newGateWorld(seed, maxFree, false), newGateWorld(seed, noGate, false), newGateWorld(seed, maxFree, true)
+	worlds := []*gateWorld{gated, ungated, ref}
+	head := ref.p.(*refPlanner).headPending
+	fail := func(id string, class FailureClass, now time.Time) error {
+		want := ref.p.NoteFailure(id, class, now)
+		for _, w := range worlds[:2] {
+			if got := w.p.NoteFailure(id, class, now); got != want {
+				return fmt.Errorf("failure of %s: verdict %+v, reference %+v", id, got, want)
+			}
+		}
+		return nil
+	}
 	ev := dist.NewStream(seed).Named("events")
 	ord := uint64(0)
-	for tick := 0; tick < 80; tick++ {
+	for tick := 0; tick < 120; tick++ {
 		now := t0.Add(time.Duration(tick) * 2 * time.Second)
-		if tick < 10 {
+		if tick < 10 || tick >= 60 && tick < 66 {
 			for n := 40; n > 0; n-- {
 				ord++
-				u := UnitSpec{ID: fmt.Sprintf("u%d", ord), Ordinal: ord, Cores: 1 + ev.Intn(8), MaxRetries: 2}
+				u := UnitSpec{ID: fmt.Sprintf("u%d", ord), Ordinal: ord, Cores: 1 + ev.Intn(8), MaxRetries: 1 + ev.Intn(7)}
 				for _, w := range worlds {
 					w.admit(u)
 				}
@@ -192,7 +228,7 @@ func runGateScenario(seed int64, maxFree func(*poolExec) int) error {
 				w.ex.pilots[1].down = !w.ex.pilots[1].down
 			}
 		}
-		// Returns are decided from the reference world and replayed on both.
+		// Returns are decided from the reference world and replayed on all.
 		for _, id := range slices.Clone(ref.running) {
 			switch x := ev.Float64(); {
 			case x < 0.3: // done
@@ -207,8 +243,22 @@ func runGateScenario(seed int64, maxFree func(*poolExec) int) error {
 					if err := w.release(id); err != nil {
 						return fmt.Errorf("tick %d: %v", tick, err)
 					}
-					w.p.NoteFailure(id, FailureExecution, now)
 				}
+				if err := fail(id, FailureExecution, now); err != nil {
+					return fmt.Errorf("seed %d tick %d: %v", seed, tick, err)
+				}
+			}
+		}
+		if id := head(); id != "" && ev.Bernoulli(0.4) {
+			// The head unit fails while still queued (a drift correction):
+			// it stays at the head, gated again, usually later than before.
+			if err := fail(id, FailurePreStart, now); err != nil {
+				return fmt.Errorf("seed %d tick %d: %v", seed, tick, err)
+			}
+		}
+		if id := head(); id != "" && ev.Bernoulli(0.1) { // cancel the head unit
+			for _, w := range worlds {
+				w.p.Forget(id)
 			}
 		}
 		if ev.Bernoulli(0.3) { // cancel one unit that may still be pending
@@ -219,18 +269,42 @@ func runGateScenario(seed int64, maxFree func(*poolExec) int) error {
 				}
 			}
 		}
-		if got, want := gated.plan(now), ref.plan(now); got != want {
-			return fmt.Errorf("seed %d tick %d:\n gated   %s\n ungated %s", seed, tick, got, want)
+		if tick == 50 {
+			want := fmt.Sprint(ref.p.DrainPending())
+			for _, w := range worlds[:2] {
+				if got := fmt.Sprint(w.p.DrainPending()); got != want {
+					return fmt.Errorf("seed %d tick %d: DrainPending %s, reference %s", seed, tick, got, want)
+				}
+			}
+		}
+		want := ref.plan(now)
+		for _, w := range worlds[:2] {
+			if got := w.plan(now); got != want {
+				return fmt.Errorf("seed %d tick %d:\n got       %s\n reference %s", seed, tick, got, want)
+			}
+		}
+		if gated.ex.candCalls != ref.ex.candCalls {
+			return fmt.Errorf("seed %d tick %d: %d Candidates calls, reference %d", seed, tick, gated.ex.candCalls, ref.ex.candCalls)
 		}
 	}
-	if gated.ex.candCalls >= ref.ex.candCalls {
-		return fmt.Errorf("seed %d: gate saved no Candidates calls (%d vs %d)", seed, gated.ex.candCalls, ref.ex.candCalls)
+	if gated.ex.candCalls >= ungated.ex.candCalls {
+		return fmt.Errorf("seed %d: gate saved no Candidates calls (%d vs %d)", seed, gated.ex.candCalls, ungated.ex.candCalls)
 	}
 	return nil
 }
 
 func TestMaxFreeGateMatchesUngatedPlanner(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
+		if err := runGateScenario(seed, exactMaxFree); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestPlannerMatchesLinearReference(t *testing.T) {
+	// More histories than the gate test replays, each checked tick by
+	// tick against the linear reference planner.
+	for seed := int64(21); seed <= 60; seed++ {
 		if err := runGateScenario(seed, exactMaxFree); err != nil {
 			t.Fatal(err)
 		}

@@ -18,6 +18,7 @@
 package plan
 
 import (
+	"math"
 	"time"
 
 	"gopilot/internal/dist"
@@ -142,26 +143,49 @@ type Config struct {
 
 // unitRec is the planner's per-unit bookkeeping.
 type unitRec struct {
-	spec      UnitSpec
-	retry     *dist.Stream // "retry"/<ordinal>: jitter draws, one per retry
-	queued    bool         // present in the pending queue
-	forgotten bool         // dropped from the planner; its queue entry is dead
-	bound     bool         // dispatched and not yet returned
-	backend   string       // watermark key while bound
-	charges   int          // failures charged against MaxRetries
-	retryAt   time.Time    // eligibility gate while queued after a failure
+	spec    UnitSpec
+	retry   *dist.Stream // "retry"/<ordinal>: jitter draws, one per retry
+	queued  bool         // pending: its live queue entry is queue[pos]
+	pos     int          // index of the live queue entry while queued
+	bound   bool         // dispatched and not yet returned
+	backend string       // watermark key while bound
+	charges int          // failures charged against MaxRetries
+	retryAt time.Time    // eligibility gate while queued after a failure
+}
+
+// retryEntry is one retry-heap entry: r becomes eligible at at. It is
+// valid only while r is queued and still carries that retryAt; a bind, a
+// Forget or a later failure of r leaves it stale, and stale entries are
+// discarded when they reach the top.
+type retryEntry struct {
+	at time.Time
+	r  *unitRec
 }
 
 // Planner is the TickPlanner. It is not self-synchronizing: the owning
 // manager serializes all calls (and the Executor callbacks they make)
 // under its own lock, which is also what makes a planning tick atomic
 // with respect to pilot arrivals and failures.
+//
+// The pending queue is a slice appended to at the tail. Entry i is live
+// while queue[i].queued and queue[i].pos == i; a bind, a Forget or a
+// requeue (which appends a fresh entry) leaves the old entry dead in
+// place, and compact drops dead entries once they outnumber live ones.
+// Every entry before head is dead or retry-gated until at least
+// headUntil (zero when they are all dead), so ticks before that instant
+// start their walk at head.
 type Planner struct {
 	policy     PolicyFunc
 	backoff    Backoff
 	retryRoot  *dist.Stream
 	units      map[string]*unitRec
-	queue      []*unitRec // pending units in arrival (re-)order
+	queue      []*unitRec   // pending entries in arrival (re-)order
+	head       int          // entries before head are dead or gated
+	headUntil  time.Time    // earliest retryAt among live entries before head
+	pending    int          // live queue entries
+	cores      map[int]int  // pending units per Cores value
+	minCores   int          // smallest Cores with cores[c] > 0; MaxInt if none
+	retries    []retryEntry // min-heap by at
 	watermarks map[string]*Watermark
 	backends   []string // watermark keys in first-dispatch order
 }
@@ -179,6 +203,8 @@ func New(cfg Config) *Planner {
 		backoff:    cfg.Backoff.withDefaults(),
 		retryRoot:  cfg.Stream.Named("retry"),
 		units:      make(map[string]*unitRec),
+		cores:      make(map[int]int),
+		minCores:   math.MaxInt,
 		watermarks: make(map[string]*Watermark),
 	}
 }
@@ -188,17 +214,13 @@ func (p *Planner) Admit(spec UnitSpec) {
 	if _, ok := p.units[spec.ID]; ok {
 		return
 	}
-	r := &unitRec{
-		spec:   spec,
-		retry:  p.retryRoot.SplitLabel(spec.Ordinal),
-		queued: true,
-	}
+	r := &unitRec{spec: spec, retry: p.retryRoot.SplitLabel(spec.Ordinal)}
 	p.units[spec.ID] = r
-	p.queue = append(p.queue, r)
+	p.enqueue(r)
 }
 
 // Forget removes a unit from the planner (terminal or canceled). Its
-// queue entry, if any, is dropped lazily on the next tick.
+// queue entry, if any, is left dead in place.
 func (p *Planner) Forget(id string) {
 	r, ok := p.units[id]
 	if !ok {
@@ -208,13 +230,42 @@ func (p *Planner) Forget(id string) {
 		p.watermarks[r.backend].InFlight--
 	}
 	p.drop(r)
+	p.compact()
 }
 
-// drop removes r from the unit index; its queue entry, if any, is skipped
-// from now on.
+// drop removes r from the unit index and the pending queue.
 func (p *Planner) drop(r *unitRec) {
-	r.forgotten = true
+	if r.queued {
+		p.dequeue(r)
+	}
 	delete(p.units, r.spec.ID)
+}
+
+// enqueue appends a live entry for r.
+func (p *Planner) enqueue(r *unitRec) {
+	r.queued = true
+	r.pos = len(p.queue)
+	p.queue = append(p.queue, r)
+	p.pending++
+	p.cores[r.spec.Cores]++
+	p.minCores = min(p.minCores, r.spec.Cores)
+}
+
+// dequeue kills r's live entry and keeps the per-Cores counts current.
+func (p *Planner) dequeue(r *unitRec) {
+	r.queued = false
+	p.pending--
+	c := r.spec.Cores
+	if p.cores[c]--; p.cores[c] > 0 {
+		return
+	}
+	delete(p.cores, c)
+	if c == p.minCores {
+		p.minCores = math.MaxInt
+		for k := range p.cores {
+			p.minCores = min(p.minCores, k)
+		}
+	}
 }
 
 // Plan runs one planning tick at the given virtual instant: pending
@@ -223,36 +274,40 @@ func (p *Planner) drop(r *unitRec) {
 // executor. Units that fit nowhere stay queued, so smaller later units
 // may bind first (backfill inside the pilot pool). Units needing more
 // cores than the executor's MaxFree are deferred without a Candidates
-// query — the query could only come back empty — so a tick against a
-// full pool costs a pointer walk over the queue. The returned instant
+// query — the query could only come back empty — and the walk stops
+// once MaxFree is below every pending unit's Cores, so a tick costs its
+// binds and policy calls, not the queue length. The returned instant
 // is the earliest pending retry eligibility, or zero if nothing is
 // waiting on time — the manager schedules its next self-wake from it.
+// now must not decrease from one call to the next.
 func (p *Planner) Plan(now time.Time, ex Executor) (nextWake time.Time) {
+	nextWake = p.nextRetry(now)
 	free := ex.MaxFree()
-	keep := p.queue[:0]
-	for _, r := range p.queue {
-		if r.forgotten || !r.queued || r.bound {
-			continue // forgotten, or guard: already dispatched
-		}
-		if !r.retryAt.IsZero() && r.retryAt.After(now) {
-			keep = append(keep, r)
-			if nextWake.IsZero() || r.retryAt.Before(nextWake) {
-				nextWake = r.retryAt
+	if !p.headUntil.IsZero() && !now.Before(p.headUntil) {
+		p.head, p.headUntil = 0, time.Time{} // a unit before head is eligible
+	}
+	prefix := true // entries so far are dead or gated: head may advance
+	for i := p.head; i < len(p.queue) && free >= p.minCores; i++ {
+		r := p.queue[i]
+		live := r.queued && r.pos == i
+		gated := live && !r.retryAt.IsZero() && r.retryAt.After(now)
+		if prefix && (!live || gated) {
+			p.head = i + 1
+			if gated && (p.headUntil.IsZero() || r.retryAt.Before(p.headUntil)) {
+				p.headUntil = r.retryAt
 			}
 			continue
 		}
-		if r.spec.Cores > free {
-			keep = append(keep, r)
+		prefix = false
+		if !live || gated || r.spec.Cores > free {
 			continue
 		}
 		cands := ex.Candidates(r.spec)
 		if len(cands) == 0 {
-			keep = append(keep, r)
 			continue
 		}
 		pilot := p.policy(r.spec, cands)
 		if pilot == "" {
-			keep = append(keep, r)
 			continue
 		}
 		backend := ""
@@ -262,7 +317,7 @@ func (p *Planner) Plan(now time.Time, ex Executor) (nextWake time.Time) {
 				break
 			}
 		}
-		r.queued = false
+		p.dequeue(r)
 		r.bound = true
 		r.backend = backend
 		r.retryAt = time.Time{}
@@ -270,9 +325,29 @@ func (p *Planner) Plan(now time.Time, ex Executor) (nextWake time.Time) {
 		ex.Bind(r.spec, pilot)
 		free = ex.MaxFree()
 	}
-	clear(p.queue[len(keep):]) // let dropped records be collected
-	p.queue = keep
+	p.compact()
 	return nextWake
+}
+
+// compact drops the dead queue entries once they outnumber the live ones,
+// so the walk and the memory stay proportional to the pending units.
+func (p *Planner) compact() {
+	if len(p.queue)-p.pending <= p.pending {
+		return
+	}
+	n, head := 0, 0
+	for i, r := range p.queue {
+		if r.queued && r.pos == i {
+			if i < p.head {
+				head++
+			}
+			r.pos = n
+			p.queue[n] = r
+			n++
+		}
+	}
+	clear(p.queue[n:]) // let dropped records be collected
+	p.queue, p.head = p.queue[:n], head
 }
 
 // NoteFailure charges one failure of the given class against the unit's
@@ -298,10 +373,62 @@ func (p *Planner) NoteFailure(id string, class FailureClass, now time.Time) Verd
 	d := p.backoff.Delay(r.charges-1, r.retry)
 	r.retryAt = now.Add(d)
 	if !r.queued {
-		r.queued = true
-		p.queue = append(p.queue, r)
+		p.enqueue(r)
+	} else if r.pos < p.head && r.retryAt.Before(p.headUntil) {
+		p.headUntil = r.retryAt
 	}
+	p.pushRetry(retryEntry{at: r.retryAt, r: r})
 	return Verdict{Retry: true, Charges: r.charges, Delay: d, RetryAt: r.retryAt}
+}
+
+// nextRetry discards stale and due retry entries and returns the earliest
+// retryAt still after now, or zero if no queued unit is gated.
+func (p *Planner) nextRetry(now time.Time) time.Time {
+	for len(p.retries) > 0 {
+		e := p.retries[0]
+		if e.r.queued && e.r.retryAt.Equal(e.at) && e.at.After(now) {
+			return e.at
+		}
+		p.popRetry()
+	}
+	return time.Time{}
+}
+
+// pushRetry and popRetry keep p.retries a binary min-heap by at.
+func (p *Planner) pushRetry(e retryEntry) {
+	h := append(p.retries, e)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].at.Before(h[parent].at) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	p.retries = h
+}
+
+func (p *Planner) popRetry() {
+	h := p.retries
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = retryEntry{}
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].at.Before(h[c].at) {
+			c++
+		}
+		if !h[c].at.Before(h[i].at) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	p.retries = h
 }
 
 // Charges returns the failures charged against a unit's budget so far.
@@ -314,29 +441,19 @@ func (p *Planner) Charges(id string) int {
 
 // PendingLen returns the number of units awaiting dispatch (including
 // units parked in backoff).
-func (p *Planner) PendingLen() int {
-	n := 0
-	for _, r := range p.queue {
-		if !r.forgotten && r.queued && !r.bound {
-			n++
-		}
-	}
-	return n
-}
+func (p *Planner) PendingLen() int { return p.pending }
 
 // DrainPending removes and returns every queued unit ID in queue order —
 // the manager's shutdown path, which finalizes them as canceled.
 func (p *Planner) DrainPending() []string {
 	var out []string
-	for _, r := range p.queue {
-		if r.forgotten || !r.queued || r.bound {
-			continue
+	for i, r := range p.queue {
+		if r.queued && r.pos == i {
+			p.drop(r)
+			out = append(out, r.spec.ID)
 		}
-		r.queued = false
-		p.drop(r)
-		out = append(out, r.spec.ID)
 	}
-	p.queue = nil
+	p.queue, p.head, p.headUntil, p.retries = nil, 0, time.Time{}, nil
 	return out
 }
 

@@ -39,14 +39,24 @@ func (e *tickExec) Bind(u UnitSpec, _ string) {
 // nothing. one-free: one core frees before each tick, the head of the
 // queue binds it, and the bound unit is handed back through NoteFailure
 // so the queue stays at N (each tick runs an hour after the last, past
-// any retry backoff).
+// any retry backoff). gated: like one-free, but nine units in ten sit in
+// retry backoff far past every tick instant; as the eligible tenth
+// cycles through the tail, the gated units end up ahead of it.
 func BenchmarkPlanTick(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
-		for _, mode := range []string{"full", "one-free"} {
+		for _, mode := range []string{"full", "one-free", "gated"} {
 			b.Run(fmt.Sprintf("pending=%d/%s", n, mode), func(b *testing.B) {
 				p := New(Config{Stream: dist.NewStream(1)})
 				for i := 1; i <= n; i++ {
 					p.Admit(UnitSpec{ID: fmt.Sprintf("u%d", i), Ordinal: uint64(i), Cores: 1, MaxRetries: math.MaxInt})
+				}
+				if mode == "gated" {
+					parked := t0.AddDate(1000, 0, 0)
+					for i := 1; i <= n; i++ {
+						if i%10 != 1 {
+							p.NoteFailure(fmt.Sprintf("u%d", i), FailurePreStart, parked)
+						}
+					}
 				}
 				ex := &tickExec{}
 				now := t0
@@ -54,7 +64,7 @@ func BenchmarkPlanTick(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					now = now.Add(time.Hour)
-					if mode == "one-free" {
+					if mode != "full" {
 						ex.free = 1
 					}
 					p.Plan(now, ex)

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -219,5 +220,55 @@ func TestDrainPendingReturnsQueueOrder(t *testing.T) {
 	}
 	if p.PendingLen() != 0 {
 		t.Fatalf("queue not empty after drain")
+	}
+}
+
+func TestRequeueInsideGatedPrefixCanMoveEligibilityEarlier(t *testing.T) {
+	// With the backoff capped, jitter can make a queued unit's next
+	// failure land earlier than its current retryAt. A tick that has
+	// already walked past the gated unit must still bind it at the new,
+	// earlier instant.
+	for seed := int64(1); seed < 100; seed++ {
+		p := New(Config{Stream: dist.NewStream(seed), Backoff: Backoff{Initial: 10 * time.Second, Max: 10 * time.Second}})
+		p.Admit(UnitSpec{ID: "u1", Ordinal: 1, Cores: 1, MaxRetries: 5})
+		first := p.NoteFailure("u1", FailurePreStart, t0)
+		ex := &fakeExec{pilots: []Candidate{{ID: "pA", Backend: "local://a", FreeCores: 1}}}
+		p.Plan(t0.Add(time.Second), ex) // u1 is gated at the head
+		second := p.NoteFailure("u1", FailurePreStart, t0.Add(2*time.Second))
+		if !second.RetryAt.Before(first.RetryAt) {
+			continue
+		}
+		if next := p.Plan(second.RetryAt.Add(-time.Nanosecond), ex); !next.Equal(second.RetryAt) || len(ex.binds) != 0 {
+			t.Fatalf("seed %d: before the new retryAt: nextWake %v, binds %v; want %v, none", seed, next, ex.binds, second.RetryAt)
+		}
+		p.Plan(second.RetryAt, ex)
+		if len(ex.binds) != 1 {
+			t.Fatalf("seed %d: u1 not bound at its earlier retryAt %v (first was %v)", seed, second.RetryAt, first.RetryAt)
+		}
+		return
+	}
+	t.Fatal("no seed moved the retry instant earlier")
+}
+
+func TestQueueStaysProportionalToPending(t *testing.T) {
+	// Every bind leaves a dead entry behind; compaction must keep the
+	// queue within twice the pending units however long the run.
+	p := newPlanner(Backoff{})
+	for i := 1; i <= 100; i++ {
+		p.Admit(UnitSpec{ID: fmt.Sprintf("u%d", i), Ordinal: uint64(i), Cores: 1, MaxRetries: math.MaxInt})
+	}
+	ex := &fakeExec{pilots: []Candidate{{ID: "pA", Backend: "local://a"}}}
+	now := t0
+	for tick := 0; tick < 10000; tick++ {
+		now = now.Add(time.Hour)
+		ex.pilots[0].FreeCores = 1
+		from := len(ex.binds)
+		p.Plan(now, ex)
+		for _, b := range ex.binds[from:] {
+			p.NoteFailure(b[0], FailurePreStart, now)
+		}
+		if n := len(p.queue); n > 2*p.PendingLen()+1 {
+			t.Fatalf("tick %d: queue holds %d entries for %d pending units", tick, n, p.PendingLen())
+		}
 	}
 }

@@ -82,6 +82,12 @@ type Drift struct {
 // divergence, in deterministic order: unit-keyed classes follow the
 // units slice, orphans follow the pilots slice. It is a pure function of
 // its arguments.
+//
+// A terminal or unbound unit yields the same result as a unit absent
+// from units: neither is checked against its pilot, and either makes a
+// pilot holding it report an orphan. So DetectDrift over a full snapshot
+// equals DetectDrift over only its non-terminal bound units, and the
+// manager snapshots just those.
 func DetectDrift(units []UnitStatus, pilots []PilotStatus) []Drift {
 	byUnit := make(map[string]UnitStatus, len(units))
 	for _, u := range units {
